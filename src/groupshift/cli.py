@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .aperiodic import (
@@ -91,7 +90,6 @@ _MINIMUM = {
     "budget": 0,
     "length_limit": 0,
     "k": 1,
-    "threads": 1,
     "margin": 1,
     "length": 1,
     "max_nodes": 1,
@@ -320,12 +318,13 @@ def _cmd_oracle_query(config: ExperimentConfig):
     radius = config.numbers.get("radius")
     if radius is None:
         # Smallest ball that has an address for every block of the word.
-        kappa = max(1, (len(spec.alphabet) - 1).bit_length())
-        blocks = max(1, len(word) // kappa)
         radius = 0
-        while len(cayley_ball(spec.group, radius)) < blocks and radius < 16:
+        codec = make_codec(spec.group, spec.alphabet, radius)
+        while len(codec.ball) < max(1, len(word) // codec.kappa) and radius < 16:
             radius += 1
-    codec = make_codec(spec.group, spec.alphabet, radius)
+            codec = make_codec(spec.group, spec.alphabet, radius)
+    else:
+        codec = make_codec(spec.group, spec.alphabet, radius)
     oracle = rho_set_oracle(codec, spec.forbidden)
     verdict = oracle.query(word, budget)
     payload = {
@@ -469,19 +468,12 @@ def _cmd_final_check(config: ExperimentConfig):
     budget = config.numbers.get("budget")
     if budget is None:
         budget = 10_000
-    threads = config.numbers.get("threads") or 1
-    tasks = (
-        ("F1", lambda: check_F1(patch, ctx, budget)),
-        ("F2", lambda: check_F2(patch)),
-        ("F3", lambda: check_F3(patch, ctx)),
-        ("F4", lambda: check_F4(patch, ctx)),
+    results = (
+        ("F1", check_F1(patch, ctx, budget)),
+        ("F2", check_F2(patch)),
+        ("F3", check_F3(patch, ctx)),
+        ("F4", check_F4(patch, ctx)),
     )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(name, pool.submit(job)) for name, job in tasks]
-            results = [(name, future.result()) for name, future in futures]
-    else:
-        results = [(name, job()) for name, job in tasks]
     violations = []
     for name, found in results:
         violations.extend([name, *entry] for entry in found)
@@ -721,7 +713,6 @@ def _config_from_args(command: str, args) -> ExperimentConfig:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    common.add_argument("--threads", type=int, default=1, help="worker bound for checkers")
     common.add_argument("--out", help="write the report to this file instead of stdout")
     common.add_argument(
         "--format", dest="fmt", choices=("json", "text"), default="json",

@@ -6,8 +6,8 @@ shortlex order, address 0 = identity) and a fixed-width binary coding of the
 alphabet.  Membership questions about the original subshift then become
 cylinder-emptiness questions about binary words, answered by semi-decision
 procedures that may spend at most a caller-supplied number of primitive
-steps.  One step is one word-problem call, one block comparison, or one
-translated-coding test.
+steps.  One step is one block decode, one address lookup, one block
+comparison, or one translated-coding test.
 """
 
 from __future__ import annotations
@@ -234,9 +234,9 @@ class RhoSetOracle(SetOracle):
     """Emptiness tester for binary codings of a finitely-forbidden subshift.
 
     A word is certified when, within budget, (i) some complete block codes
-    no symbol, (ii) two blocks whose addresses name the same group element
-    disagree, or (iii) the decoded partial pattern contains a forbidden
-    coding translated by some ball element.
+    no symbol, or (ii) the decoded partial pattern contains a forbidden
+    coding translated by some ball element.  Ball addresses name distinct
+    group elements, so no two blocks describe the same cell.
     """
 
     def __init__(self, codec: SubshiftCodec, forbidden):
@@ -257,16 +257,6 @@ class RhoSetOracle(SetOracle):
             if codec.decode_block(block) is None:
                 return Verdict.CERTIFIED_EMPTY
         limit = min(len(blocks), len(codec.ball))
-        for n in range(limit):
-            for m in range(n + 1, limit):
-                if not budget.spend():
-                    return None
-                if not codec.group.equals(codec.enumeration(n), codec.enumeration(m)):
-                    continue
-                if not budget.spend():
-                    return None
-                if blocks[n] != blocks[m]:
-                    return Verdict.CERTIFIED_EMPTY
         values = {n: codec.decode_block(blocks[n]) for n in range(limit)}
         return self._scan_codings(values, budget)
 

@@ -1,9 +1,11 @@
 """Word-problem oracles for finitely generated groups and their Cayley balls.
 
-A group is presented here only through a symmetric generating set and a total
-decision procedure for the word problem.  Everything downstream (balls, grids,
-codecs) is built on top of that interface, so adding a group means adding one
-oracle class.
+A group is presented here only through a symmetric generating set and one
+exact canonical key: two words get equal keys exactly when they name the same
+group element.  The word problem, element equality and the deduplication of
+Cayley balls are all key comparisons, and everything downstream (balls,
+grids, codecs) is built on that interface, so adding a group means adding
+one oracle class with one method.
 """
 
 from __future__ import annotations
@@ -66,25 +68,22 @@ class GeneratorSet:
 
 
 class GroupOracle:
-    """Decides whether words over the generating set represent the identity."""
+    """Names the group element of each word over the generating set."""
 
     def __init__(self, gens: GeneratorSet, descriptor: Optional[dict] = None):
         self.gens = gens
         self.descriptor = descriptor if descriptor is not None else {}
 
-    def is_identity(self, word: Word) -> bool:
+    def canonical_key(self, word: Word):
+        """A hashable key that is equal for two words exactly when they name
+        the same group element; raises UnknownSymbol on a foreign symbol."""
         raise NotImplementedError
 
+    def is_identity(self, word: Word) -> bool:
+        return self.canonical_key(word) == self.canonical_key(EPSILON)
+
     def equals(self, u: Word, v: Word) -> bool:
-        return self.is_identity(self.gens.word_inverse(u) + v)
-
-    def canonical_key(self, word: Word):
-        """An exact hashable invariant of the group element, or None.
-
-        When available it lets ball construction deduplicate in O(1) instead
-        of scanning with pairwise word-problem calls.
-        """
-        return None
+        return self.canonical_key(u) == self.canonical_key(v)
 
 
 def _axis_names(rank: int) -> tuple[str, ...]:
@@ -132,9 +131,6 @@ class FreeAbelianOracle(GroupOracle):
             totals[i] += step
         return tuple(totals)
 
-    def is_identity(self, word: Word) -> bool:
-        return not any(self._vector(word))
-
     def canonical_key(self, word: Word):
         return self._vector(word)
 
@@ -161,9 +157,6 @@ class FreeGroupOracle(GroupOracle):
             else:
                 stack.append(sym)
         return tuple(stack)
-
-    def is_identity(self, word: Word) -> bool:
-        return not self._reduce(word)
 
     def canonical_key(self, word: Word):
         return self._reduce(word)
@@ -227,10 +220,15 @@ def mealy_apply(automaton: MealyAutomaton, state_word: tuple[str, ...], bits: st
 class MealyGroupOracle(GroupOracle):
     """Group generated by the states of an invertible Mealy automaton.
 
-    The word problem is decided exactly: the set of iterated sections of a
-    state word is finite (sections never get longer once trivial states are
-    stripped), so a word is the identity iff no word in its section closure
-    acts at the root.
+    The canonical key of a state word is its minimal automaton.  The
+    iterated sections of the word form a finite closure (sections never get
+    longer once trivial states are stripped); Moore partition refinement on
+    (root swap, class of section 0, class of section 1) merges the section
+    words that act alike, and a breadth-first renumbering from the word
+    itself makes the quotient canonical.  Two words act alike on the binary
+    tree exactly when these quotients are equal.  Section words are kept
+    short by pair rules p·q = 1 or p·q = r for a single state r, which the
+    constructor reads off the keys of all two-state words.
     """
 
     def __init__(
@@ -258,60 +256,108 @@ class MealyGroupOracle(GroupOracle):
             for q in word:
                 if q not in automaton.states:
                     raise ValueError(f"generator {name!r} uses unknown state {q!r}")
-        self._memo: dict[tuple[str, ...], bool] = {}
+        active = [q for q in automaton.states if not automaton.is_trivial_state(q)]
+        self._active = set(active)
+        # Per state: whether it swaps at the root, and its non-trivial
+        # sections as (input bit, state) pairs.
+        self._moves = {}
+        for q in automaton.states:
+            sections = enumerate((automaton.transition[q]["0"], automaton.transition[q]["1"]))
+            self._moves[q] = (
+                int(automaton.swaps(q)),
+                tuple((b, t) for b, t in sections if t in self._active),
+            )
+        # Keys are exact without pair rules, so each rule found is a true
+        # relation and may be used at once.
+        self._pairs: dict[tuple[str, str], tuple[str, ...]] = {}
+        products = {self._key(()): ()}
+        for r in active:
+            products.setdefault(self._key((r,)), (r,))
+        for p in active:
+            for q in active:
+                product = products.get(self._key((p, q)))
+                if product is not None:
+                    self._pairs[(p, q)] = product
+        identity = self._key(())
         for name, inv in inverse.items():
             if name == IDENTITY or name < inv:
                 continue
             # Validate declared (and default self-) inverses once, up front.
-            word = self.generators[name] + self.generators[inv]
-            if not self._decide(self._strip(word)):
+            if self._key(self.generators[name] + self.generators[inv]) != identity:
                 raise ValueError(f"{name!r} and {inv!r} are not mutually inverse")
 
-    def _strip(self, state_word: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(q for q in state_word if not self.automaton.is_trivial_state(q))
+    def _push(self, stack: list[str], q: str) -> None:
+        """Append a non-trivial state to a section word, applying the pair rules."""
+        while stack:
+            product = self._pairs.get((stack[-1], q))
+            if product is None:
+                break
+            stack.pop()
+            if not product:
+                return
+            (q,) = product
+        stack.append(q)
+
+    def _reduce(self, state_word: tuple[str, ...]) -> tuple[str, ...]:
+        stack: list[str] = []
+        for q in state_word:
+            if q in self._active:
+                self._push(stack, q)
+        return tuple(stack)
 
     def _sections(self, state_word: tuple[str, ...]):
-        swapped = False
+        """(acts at the root, section word at 0, section word at 1)."""
         sec = ([], [])
+        swapped = 0
         for q in state_word:
-            q_swap = self.automaton.swaps(q)
-            lo = sec[1] if q_swap else sec[0]
-            hi = sec[0] if q_swap else sec[1]
-            t0 = self.automaton.transition[q]["0"]
-            t1 = self.automaton.transition[q]["1"]
-            new0 = list(lo)
-            new1 = list(hi)
-            if not self.automaton.is_trivial_state(t0):
-                new0.append(t0)
-            if not self.automaton.is_trivial_state(t1):
-                new1.append(t1)
-            sec = (new0, new1)
-            swapped ^= q_swap
-        return swapped, tuple(sec[0]), tuple(sec[1])
+            # Read left to right: q's section at bit b follows the prefix's
+            # section at q(b), so a swapping state exchanges the two words.
+            swaps, moves = self._moves[q]
+            swapped ^= swaps
+            for b, t in moves:
+                self._push(sec[b ^ swapped], t)
+        return bool(swapped), tuple(sec[swapped]), tuple(sec[1 ^ swapped])
 
-    def _decide(self, state_word: tuple[str, ...]) -> bool:
-        start = self._strip(state_word)
-        if start in self._memo:
-            return self._memo[start]
-        seen: set[tuple[str, ...]] = set()
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in seen or self._memo.get(v) is True:
-                continue
-            seen.add(v)
+    def _key(self, state_word: tuple[str, ...]):
+        # 1. The section closure, numbered breadth-first from the word.
+        start = self._reduce(state_word)
+        number = {start: 0}
+        closure = [start]
+        rows = []
+        for v in closure:
             swapped, s0, s1 = self._sections(v)
-            if swapped:
-                # v itself acts at the root, so neither v nor the original
-                # word is trivial.
-                self._memo[v] = False
-                self._memo[start] = False
-                return False
-            stack.append(s0)
-            stack.append(s1)
-        for v in seen:
-            self._memo[v] = True
-        return True
+            for s in (s0, s1):
+                if s not in number:
+                    number[s] = len(closure)
+                    closure.append(s)
+            rows.append((swapped, number[s0], number[s1]))
+        # 2. Moore refinement until the number of classes stops growing.
+        cls = [int(swapped) for swapped, _, _ in rows]
+        count = len(set(cls))
+        while True:
+            names: dict = {}
+            refined = [
+                names.setdefault((swapped, cls[i], cls[j]), len(names))
+                for swapped, i, j in rows
+            ]
+            if len(names) == count:
+                break
+            cls, count = refined, len(names)
+        # 3. The quotient, its classes renumbered breadth-first from the word.
+        first = {}
+        for v, c in enumerate(cls):
+            first.setdefault(c, v)
+        order = {cls[0]: 0}
+        queue = [cls[0]]
+        key = []
+        for c in queue:
+            swapped, i, j = rows[first[c]]
+            for d in (cls[i], cls[j]):
+                if d not in order:
+                    order[d] = len(order)
+                    queue.append(d)
+            key.append((swapped, order[cls[i]], order[cls[j]]))
+        return tuple(key)
 
     def _state_word(self, word: Word) -> tuple[str, ...]:
         states: list[str] = []
@@ -323,8 +369,8 @@ class MealyGroupOracle(GroupOracle):
             states.extend(self.generators[sym])
         return tuple(states)
 
-    def is_identity(self, word: Word) -> bool:
-        return self._decide(self._state_word(word))
+    def canonical_key(self, word: Word):
+        return self._key(self._state_word(word))
 
     def apply(self, word: Word, bits: str) -> str:
         return mealy_apply(self.automaton, self._state_word(word), bits)
@@ -350,100 +396,15 @@ def grigorchuk_automaton() -> MealyAutomaton:
     return MealyAutomaton(states, transition, output)
 
 
-# b, c, d generate a Klein four-group: the product of two of them is the third.
-_KLEIN = {
-    ("b", "c"): "d",
-    ("c", "b"): "d",
-    ("b", "d"): "c",
-    ("d", "b"): "c",
-    ("c", "d"): "b",
-    ("d", "c"): "b",
-}
-
-# First-level decomposition: letter -> (section word at 0, section word at 1).
-_GRIG_SECTIONS = {
-    "b": ("a", "c"),
-    "c": ("a", "d"),
-    "d": ("", "b"),
-}
-
-
-class GrigorchukOracle(GroupOracle):
-    """Word problem for the first Grigorchuk group via its wreath recursion.
-
-    Words are first reduced with the relations aa = bb = cc = dd = 1 and the
-    Klein table for {b, c, d}.  A reduced word of length n >= 2 splits into a
-    root permutation and two sections of length at most (n + 1) // 2, so the
-    recursion terminates; results are memoized on reduced words.
-    """
+class GrigorchukOracle(MealyGroupOracle):
+    """The first Grigorchuk group: the automaton group of its four states."""
 
     def __init__(self):
-        symbols = (IDENTITY, "a", "b", "c", "d")
-        inverse = {s: s for s in symbols}
-        super().__init__(GeneratorSet(symbols, inverse), {"kind": "grigorchuk"})
-        self._memo: dict[str, bool] = {}
-        self.automaton = grigorchuk_automaton()
-
-    @staticmethod
-    def _reduce(letters: str) -> str:
-        stack: list[str] = []
-        for ch in letters:
-            while True:
-                if not stack:
-                    stack.append(ch)
-                    break
-                top = stack[-1]
-                if top == ch:
-                    stack.pop()
-                    break
-                merged = _KLEIN.get((top, ch))
-                if merged is None:
-                    stack.append(ch)
-                    break
-                stack.pop()
-                ch = merged
-        return "".join(stack)
-
-    def _decide(self, reduced: str) -> bool:
-        known = self._memo.get(reduced)
-        if known is not None:
-            return known
-        if not reduced:
-            return True
-        if len(reduced) == 1:
-            self._memo[reduced] = False
-            return False
-        if reduced.count("a") % 2 == 1:
-            self._memo[reduced] = False
-            return False
-        sec0: list[str] = []
-        sec1: list[str] = []
-        for ch in reduced:
-            if ch == "a":
-                sec0, sec1 = sec1, sec0
-            else:
-                lo, hi = _GRIG_SECTIONS[ch]
-                sec0.append(lo)
-                sec1.append(hi)
-        result = self._decide(self._reduce("".join(sec0))) and self._decide(
-            self._reduce("".join(sec1))
+        super().__init__(
+            grigorchuk_automaton(),
+            {q: (q,) for q in "abcd"},
+            descriptor={"kind": "grigorchuk"},
         )
-        self._memo[reduced] = result
-        return result
-
-    def is_identity(self, word: Word) -> bool:
-        letters = []
-        for sym in word:
-            if sym == IDENTITY:
-                continue
-            if sym not in ("a", "b", "c", "d"):
-                raise UnknownSymbol(sym)
-            letters.append(sym)
-        return self._decide(self._reduce("".join(letters)))
-
-    def apply(self, word: Word, bits: str) -> str:
-        states = tuple(sym for sym in word if sym != IDENTITY)
-        return mealy_apply(self.automaton, states, bits)
 
 
 class ProductOracle(GroupOracle):
@@ -482,21 +443,11 @@ class ProductOracle(GroupOracle):
                 out.append(original)
         return tuple(out)
 
-    def is_identity(self, word: Word) -> bool:
-        self.gens.check_word(word)
-        return all(
-            factor.is_identity(self.project(word, i))
+    def canonical_key(self, word: Word):
+        return tuple(
+            factor.canonical_key(self.project(word, i))
             for i, factor in enumerate(self.factors)
         )
-
-    def canonical_key(self, word: Word):
-        keys = []
-        for i, factor in enumerate(self.factors):
-            key = factor.canonical_key(self.project(word, i))
-            if key is None:
-                return None
-            keys.append(key)
-        return tuple(keys)
 
 
 class CayleyBall:
@@ -516,9 +467,7 @@ class CayleyBall:
         self.index: dict[Word, int] = {w: i for i, w in enumerate(elements)}
         self.edges: dict[tuple[int, str], int] = edges
         self._resolve_memo: dict[Word, Optional[int]] = dict(self.index)
-        self._keyed: Optional[dict] = None
-        if oracle.canonical_key(EPSILON) is not None:
-            self._keyed = {oracle.canonical_key(w): i for i, w in enumerate(elements)}
+        self._keyed = {oracle.canonical_key(w): i for i, w in enumerate(elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -528,14 +477,7 @@ class CayleyBall:
         if word in self._resolve_memo:
             return self._resolve_memo[word]
         self.oracle.gens.check_word(word)
-        found: Optional[int] = None
-        if self._keyed is not None:
-            found = self._keyed.get(self.oracle.canonical_key(word))
-        else:
-            for i, elem in enumerate(self.elements):
-                if self.oracle.equals(elem, word):
-                    found = i
-                    break
+        found = self._keyed.get(self.oracle.canonical_key(word))
         self._resolve_memo[word] = found
         return found
 
@@ -573,16 +515,7 @@ def cayley_ball(oracle: GroupOracle, radius: int, max_elements: int = 1_000_000)
     extend = [s for s in gens.symbols if s != gens.identity]
     elements: list[Word] = [EPSILON]
     distance: list[int] = [0]
-    keyed = oracle.canonical_key(EPSILON) is not None
-    key_index = {oracle.canonical_key(EPSILON): 0} if keyed else None
-
-    def find(word: Word) -> Optional[int]:
-        if keyed:
-            return key_index.get(oracle.canonical_key(word))
-        for i, elem in enumerate(elements):
-            if oracle.equals(elem, word):
-                return i
-        return None
+    key_index = {oracle.canonical_key(EPSILON): 0}
 
     level = [EPSILON]
     for dist in range(1, radius + 1):
@@ -590,16 +523,16 @@ def cayley_ball(oracle: GroupOracle, radius: int, max_elements: int = 1_000_000)
         for parent in level:
             for sym in extend:
                 candidate = parent + (sym,)
-                if find(candidate) is not None:
+                key = oracle.canonical_key(candidate)
+                if key in key_index:
                     continue
                 if len(elements) >= max_elements:
                     raise ResourceLimit(
                         f"ball exceeded {max_elements} elements at radius {dist}"
                     )
+                key_index[key] = len(elements)
                 elements.append(candidate)
                 distance.append(dist)
-                if keyed:
-                    key_index[oracle.canonical_key(candidate)] = len(elements) - 1
                 next_level.append(candidate)
         level = next_level
 
@@ -609,7 +542,7 @@ def cayley_ball(oracle: GroupOracle, radius: int, max_elements: int = 1_000_000)
             if sym == gens.identity:
                 edges[(i, sym)] = i
                 continue
-            target = find(word + (sym,))
+            target = key_index.get(oracle.canonical_key(word + (sym,)))
             if target is not None:
                 edges[(i, sym)] = target
     return CayleyBall(oracle, radius, elements, distance, edges)

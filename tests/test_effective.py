@@ -105,10 +105,19 @@ def test_undecodable_block_is_certified_cheaply():
 def test_adjacent_ones_are_certified():
     oracle = rho_set_oracle(golden_codec(), ADJACENT_ONES)
     assert oracle.query("11", 100) is CE
-    # Declared cost model: two block decodes, one address comparison, one
-    # translated-coding test at the identity.
-    assert oracle.query("11", 4) is CE
-    assert oracle.query("11", 3) is UNK
+    # Declared cost model: two block decodes, one translated-coding test at
+    # the identity.
+    assert oracle.query("11", 3) is CE
+    assert oracle.query("11", 2) is UNK
+
+
+def test_whole_ball_word_is_certified_within_a_linear_budget():
+    # Addresses name distinct elements, so a word over the whole 145-cell
+    # ball costs one decode per block before the codings are scanned.
+    codec = make_codec(FreeAbelianOracle(2), Alphabet(("0", "1")), 8)
+    ones = {0, codec.ball.index[("x",)]}
+    word = "".join("1" if n in ones else "0" for n in range(len(codec.ball)))
+    assert rho_set_oracle(codec, ADJACENT_ONES).query(word, 10_000) is CE
 
 
 def test_empty_word_stays_unknown():

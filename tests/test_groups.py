@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupshift.errors import SchemaError, UnknownSymbol
 from groupshift.groups import (
@@ -13,6 +15,7 @@ from groupshift.groups import (
     FreeAbelianOracle,
     FreeGroupOracle,
     GrigorchukOracle,
+    MealyAutomaton,
     MealyGroupOracle,
     ProductOracle,
     cayley_ball,
@@ -31,6 +34,84 @@ def all_oracles():
         GrigorchukOracle(),
         ProductOracle([FreeAbelianOracle(1), FreeAbelianOracle(1)]),
     ]
+
+
+# b, c, d generate a Klein four-group: the product of two of them is the third.
+KLEIN = {
+    ("b", "c"): "d",
+    ("c", "b"): "d",
+    ("b", "d"): "c",
+    ("d", "b"): "c",
+    ("c", "d"): "b",
+    ("d", "c"): "b",
+}
+
+# First-level decomposition: letter -> (section word at 0, section word at 1).
+GRIG_SECTIONS = {
+    "b": ("a", "c"),
+    "c": ("a", "d"),
+    "d": ("", "b"),
+}
+
+
+def klein_reduce(letters: str) -> str:
+    """Reduction by aa = bb = cc = dd = 1 and the Klein table."""
+    stack: list[str] = []
+    for ch in letters:
+        while True:
+            if not stack:
+                stack.append(ch)
+                break
+            top = stack[-1]
+            if top == ch:
+                stack.pop()
+                break
+            merged = KLEIN.get((top, ch))
+            if merged is None:
+                stack.append(ch)
+                break
+            stack.pop()
+            ch = merged
+    return "".join(stack)
+
+
+def wreath_is_identity(word) -> bool:
+    """Reference word problem for the Grigorchuk group, kept apart from the
+    automaton oracle: a reduced word of length n >= 2 splits into a root
+    permutation and two sections of length at most (n + 1) // 2."""
+    reduced = klein_reduce("".join(sym for sym in word if sym != "1"))
+    if not reduced:
+        return True
+    if len(reduced) == 1 or reduced.count("a") % 2 == 1:
+        return False
+    sec0: list[str] = []
+    sec1: list[str] = []
+    for ch in reduced:
+        if ch == "a":
+            sec0, sec1 = sec1, sec0
+        else:
+            lo, hi = GRIG_SECTIONS[ch]
+            sec0.append(lo)
+            sec1.append(hi)
+    return wreath_is_identity("".join(sec0)) and wreath_is_identity("".join(sec1))
+
+
+def adding_machine():
+    """The binary odometer: a adds one to a little-endian integer, A = a⁻¹."""
+    automaton = MealyAutomaton(
+        ("a", "A", "e"),
+        {
+            "a": {"0": "e", "1": "a"},
+            "A": {"0": "A", "1": "e"},
+            "e": {"0": "e", "1": "e"},
+        },
+        {
+            "a": {"0": "1", "1": "0"},
+            "A": {"0": "1", "1": "0"},
+            "e": {"0": "0", "1": "1"},
+        },
+    )
+    return MealyGroupOracle(automaton, {"a": ("a",), "A": ("A",)}, {"a": "A", "A": "a"})
 
 
 def brute_force_ball(oracle, radius):
@@ -219,7 +300,7 @@ def test_ball_resolve_and_restrict():
     assert small.elements == ball.elements[: len(small)]
     for key in small.edges:
         assert small.edges[key] == ball.edges[key]
-    # Grigorchuk has no canonical key, so resolve falls back to oracle scans.
+    # Grigorchuk resolves through its minimal-automaton key.
     gball = cayley_ball(GrigorchukOracle(), 2)
     assert gball.resolve(parse_word("b c")) == gball.index[parse_word("d")]
 
@@ -269,8 +350,8 @@ def test_mealy_descriptor_list_and_dict_forms():
 
 
 def test_mealy_oracle_agrees_with_wreath_recursion():
-    fast = GrigorchukOracle()
-    slow = group_from_descriptor(
+    preset = GrigorchukOracle()
+    mealy = group_from_descriptor(
         {
             "kind": "mealy",
             "states": ["a", "b", "c", "d", "id"],
@@ -294,7 +375,39 @@ def test_mealy_oracle_agrees_with_wreath_recursion():
     rng = random.Random(3)
     for _ in range(80):
         w = tuple(rng.choice("abcd") for _ in range(rng.randint(0, 7)))
-        assert fast.is_identity(w) == slow.is_identity(w)
+        assert wreath_is_identity(w) == preset.is_identity(w) == mealy.is_identity(w)
+
+
+# Each group with a word problem decided apart from canonical_key.
+KEY_REFERENCES = {
+    "grigorchuk": (GrigorchukOracle(), wreath_is_identity),
+    "z-x-grigorchuk": (
+        ProductOracle([FreeAbelianOracle(1), GrigorchukOracle()]),
+        lambda w: w.count("x1") == w.count("x-1")
+        and wreath_is_identity(sym[0] for sym in w if sym.endswith("2")),
+    ),
+    "adding-machine": (adding_machine(), lambda w: w.count("a") == w.count("A")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_REFERENCES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_canonical_key_is_exact(name, data):
+    oracle, reference = KEY_REFERENCES[name]
+    # A shared prefix and short tails make equal elements common.
+    words = st.lists(st.sampled_from(oracle.gens.symbols), max_size=5)
+    prefix = tuple(data.draw(words))
+    u = prefix + tuple(data.draw(words))
+    v = prefix + tuple(data.draw(words))
+    same = reference(oracle.gens.word_inverse(u) + v)
+    assert (oracle.canonical_key(u) == oracle.canonical_key(v)) == same
+
+
+def test_adding_machine_ball_is_a_segment_of_the_line():
+    ball = cayley_ball(adding_machine(), 40)
+    assert len(ball) == 81
+    assert max(ball.distance) == 40
 
 
 def test_bad_descriptors_raise_schema_errors():
