@@ -92,18 +92,6 @@ class ProbeReport:
         )
 
 
-def _adjacency(ball: CayleyBall) -> list[list[int]]:
-    """Undirected neighbor lists along non-identity generators, no loops."""
-    identity = ball.oracle.gens.identity
-    adj: list[set[int]] = [set() for _ in range(len(ball))]
-    for (h, sym), target in ball.edges.items():
-        if sym == identity or target == h:
-            continue
-        adj[h].add(target)
-        adj[target].add(h)
-    return [sorted(s) for s in adj]
-
-
 def _check_even_length(max_len: int) -> None:
     if max_len < 2 or max_len % 2 != 0:
         raise ValueError("the path length bound must be an even integer >= 2")
@@ -117,7 +105,7 @@ def square_free_verify(cb: ColoredBall, max_len: int, budget: int | None = None)
     offending path is reported once, oriented from its smaller endpoint.
     """
     _check_even_length(max_len)
-    adj = _adjacency(cb.ball)
+    adj = [sorted(cb.ball.neighbors(h)) for h in range(len(cb.ball))]
     colors = cb.colors
     violations: list[tuple[int, ...]] = []
     steps = 0
@@ -201,7 +189,7 @@ def square_free_search(
     if k < 1:
         raise ValueError("need at least one color")
     _check_even_length(max_len)
-    adj = _adjacency(ball)
+    adj = [sorted(ball.neighbors(h)) for h in range(len(ball))]
     n = len(ball)
     colors: dict[int, int] = {}
     steps = 0

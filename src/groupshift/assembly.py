@@ -192,23 +192,38 @@ def _window_layered(ctx, slc, y_slice, base, length: int):
     return LayeredWord(length, layers, 0)
 
 
-def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> list:
+class Violations(list):
+    """A checker's violation list that also counts its local constraints:
+    `satisfied` held, `unchecked` reached past the edge of the ball."""
+
+    satisfied = 0
+    unchecked = 0
+
+    def tally(self, report) -> None:
+        self.satisfied += report.satisfied
+        self.unchecked += report.unchecked
+
+
+def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Violations:
     """Per-slice grid validity: local labels, dominoes, and row decoding.
 
     Every maximal rightward run of each slice is scanned with decode
     windows of the largest power-of-three length that fits, at every
     offset; a window certified forbidden by the decoders or the oracles
-    is reported as (g, "row", (chain, column, offset)).
+    is reported as (g, "row", (chain, column, offset)).  The counts of the
+    returned list cover the label and domino checks of every slice.
     """
-    violations = []
+    violations = Violations()
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
         for k, gp in ((1, slc.patch1), (2, slc.patch2)):
             report = check_grid_local(gp)
             violations.extend((g, "grid", k, v) for v in report.violations)
+            violations.tally(report)
         y_slice = patch.y_slice(g)
         report = grid_y_check(slc, y_slice, ctx.sft)
         violations.extend((g, "cell", v) for v in report.violations)
+        violations.tally(report)
         try:
             chains, _ = _chains(slc.patch1)
         except CycleDetected:

@@ -9,7 +9,7 @@ check or a successful construction, 1 a reported violation or failure
 
 Reports are deterministic: keys are sorted, iteration orders are fixed,
 and the only randomized routine (the path-cover repair loop) draws all
-of its randomness from --seed.
+of its randomness from the --seed option of `grid cover`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .aperiodic import (
     ColoringFailure,
@@ -65,7 +64,6 @@ from .grid import (
     grid_patch_from_descriptor,
     grid_patch_to_descriptor,
     grid_patch_to_dot,
-    grid_y_check,
     orbit_trace,
     path_cover_search,
     seed_grid_from_config,
@@ -98,59 +96,22 @@ _MINIMUM = {
     "square_length": 2,
 }
 
-_PATH_KEYS = (
-    "group",
-    "sft",
-    "patch",
-    "subshift",
-    "grid",
-    "grid1",
-    "grid2",
-    "config",
-    "ctx",
-    "prefixes",
-    "pattern",
-    "file",
-)
-_NUMBER_KEYS = tuple(_MINIMUM) + ("seed", "start")
-_WORD_KEYS = ("word", "prefix", "cell", "at")
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One resolved invocation: subcommand, inputs, parameters, routing."""
-
-    command: str
-    paths: dict = field(default_factory=dict)
-    numbers: dict = field(default_factory=dict)
-    words: dict = field(default_factory=dict)
-    out: str | None = None
-    fmt: str = "json"
-    dot: str | None = None
-
-    def __post_init__(self):
-        for name, low in _MINIMUM.items():
-            value = self.numbers.get(name)
-            if value is not None and value < low:
-                raise SchemaError(name, f"must be at least {low}")
-        if self.fmt not in ("json", "text"):
-            raise SchemaError("format", "expected 'json' or 'text'")
-
-
-def run(config: ExperimentConfig) -> int:
-    """Execute one configured command and write its report."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        raise SchemaError("command", f"unknown command {config.command!r}")
-    payload, status, text = handler(config)
-    report = {"schema": SCHEMA, "command": config.command}
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command and write its report."""
+    for name, low in _MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise SchemaError(name, f"must be at least {low}")
+    payload, status, text = args.handler(args)
+    report = {"schema": SCHEMA, "command": args.command_name}
     report.update(payload)
-    if config.fmt == "text" and text is not None:
+    if args.fmt == "text" and text is not None:
         body = text + "\n"
     else:
         body = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if config.out:
-        _write_text(config.out, body)
+    if args.out:
+        _write_text(args.out, body)
     else:
         sys.stdout.write(body)
     return status
@@ -162,12 +123,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    command = getattr(args, "command_name", None)
-    if command is None:
+    if getattr(args, "command_name", None) is None:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return run(_config_from_args(command, args))
+        return run(args)
     except (GroupshiftError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -214,10 +174,8 @@ def _ball_dot(ball) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_grid(config: ExperimentConfig, key: str):
-    return grid_patch_from_descriptor(
-        _unwrap(_load_json(config.paths[key]), "grid"), key
-    )
+def _load_grid(path: str, key: str):
+    return grid_patch_from_descriptor(_unwrap(_load_json(path), "grid"), key)
 
 
 def _load_context(path: str):
@@ -242,11 +200,11 @@ def _load_context(path: str):
 # group commands
 
 
-def _cmd_ball(config: ExperimentConfig):
-    oracle = group_from_descriptor(_load_json(config.paths["group"]))
-    ball = cayley_ball(oracle, config.numbers["radius"])
-    if config.dot:
-        _write_text(config.dot, _ball_dot(ball))
+def _cmd_ball(args):
+    oracle = group_from_descriptor(_load_json(args.group))
+    ball = cayley_ball(oracle, args.radius)
+    if args.dot:
+        _write_text(args.dot, _ball_dot(ball))
     payload = {
         "group": oracle.descriptor,
         "radius": ball.radius,
@@ -256,9 +214,9 @@ def _cmd_ball(config: ExperimentConfig):
     return payload, 0, None
 
 
-def _cmd_wp(config: ExperimentConfig):
-    oracle = group_from_descriptor(_load_json(config.paths["group"]))
-    word = parse_word(config.words["word"])
+def _cmd_wp(args):
+    oracle = group_from_descriptor(_load_json(args.group))
+    word = parse_word(args.word)
     verdict = "Identity" if oracle.is_identity(word) else "NotIdentity"
     return {"word": format_word(word), "verdict": verdict}, 0, verdict
 
@@ -267,9 +225,9 @@ def _cmd_wp(config: ExperimentConfig):
 # planar SFT commands
 
 
-def _cmd_nn_check(config: ExperimentConfig):
-    sft = sft_from_descriptor(_load_json(config.paths["sft"]))
-    patch = patch_from_descriptor(_unwrap(_load_json(config.paths["patch"]), "patch"))
+def _cmd_nn_check(args):
+    sft = sft_from_descriptor(_load_json(args.sft))
+    patch = patch_from_descriptor(_unwrap(_load_json(args.patch), "patch"))
     violations = check_patch_nn(sft, patch)
     satisfied = 0
     unchecked = 0
@@ -292,12 +250,11 @@ def _cmd_nn_check(config: ExperimentConfig):
     return payload, 1 if violations else 0, None
 
 
-def _cmd_nn_extend(config: ExperimentConfig):
-    sft = sft_from_descriptor(_load_json(config.paths["sft"]))
-    partial = patch_from_descriptor(_unwrap(_load_json(config.paths["patch"]), "patch"))
-    max_nodes = config.numbers.get("max_nodes") or 200_000
+def _cmd_nn_extend(args):
+    sft = sft_from_descriptor(_load_json(args.sft))
+    partial = patch_from_descriptor(_unwrap(_load_json(args.patch), "patch"))
     try:
-        completed = patch_extension_search(sft, partial, max_nodes)
+        completed = patch_extension_search(sft, partial, args.max_nodes)
     except ResourceLimit as exc:
         return {"patch": None, "failure": str(exc)}, 1, None
     if completed is None:
@@ -309,13 +266,10 @@ def _cmd_nn_extend(config: ExperimentConfig):
 # effectiveness commands
 
 
-def _cmd_oracle_query(config: ExperimentConfig):
-    spec = subshift_from_descriptor(
-        _unwrap(_load_json(config.paths["subshift"]), "subshift")
-    )
-    word = config.words["word"]
-    budget = config.numbers["budget"]
-    radius = config.numbers.get("radius")
+def _cmd_oracle_query(args):
+    spec = subshift_from_descriptor(_unwrap(_load_json(args.subshift), "subshift"))
+    word = args.word
+    radius = args.radius
     if radius is None:
         # Smallest ball that has an address for every block of the word.
         radius = 0
@@ -326,10 +280,10 @@ def _cmd_oracle_query(config: ExperimentConfig):
     else:
         codec = make_codec(spec.group, spec.alphabet, radius)
     oracle = rho_set_oracle(codec, spec.forbidden)
-    verdict = oracle.query(word, budget)
+    verdict = oracle.query(word, args.budget)
     payload = {
         "word": word,
-        "budget": budget,
+        "budget": args.budget,
         "radius": radius,
         "verdict": verdict.value,
     }
@@ -340,18 +294,15 @@ def _cmd_oracle_query(config: ExperimentConfig):
 # Toeplitz commands
 
 
-def _cmd_toeplitz_encode(config: ExperimentConfig):
-    prefix = config.words["prefix"]
-    start = config.numbers["start"]
-    length = config.numbers["length"]
-    word = psi_encode(prefix, range(start, start + length))
-    payload = {"prefix": prefix, "start": start, "length": length, "word": word}
+def _cmd_toeplitz_encode(args):
+    word = psi_encode(args.prefix, range(args.start, args.start + args.length))
+    payload = {"prefix": args.prefix, "start": args.start, "length": args.length, "word": word}
     return payload, 0, word
 
 
-def _cmd_toeplitz_decode(config: ExperimentConfig):
-    if config.paths.get("file"):
-        layers = _load_json(config.paths["file"])
+def _cmd_toeplitz_decode(args):
+    if args.file:
+        layers = _load_json(args.file)
         if not isinstance(layers, dict) or not layers:
             raise SchemaError("file", "expected a non-empty object of layer words")
         decoded = {}
@@ -362,7 +313,7 @@ def _cmd_toeplitz_decode(config: ExperimentConfig):
             decoded[sym] = decode_procedure(layer)
         ok = all(bits is not None for bits in decoded.values())
         return {"layers": decoded}, 0 if ok else 1, None
-    word = config.words.get("word")
+    word = args.word
     if word is None:
         raise SchemaError("word", "pass --word or --file")
     bits = decode_procedure(word)
@@ -373,10 +324,10 @@ def _cmd_toeplitz_decode(config: ExperimentConfig):
 # grid commands
 
 
-def _cmd_grid_check(config: ExperimentConfig):
-    patch = _load_grid(config, "grid")
-    if config.dot:
-        _write_text(config.dot, grid_patch_to_dot(patch))
+def _cmd_grid_check(args):
+    patch = _load_grid(args.grid, "grid")
+    if args.dot:
+        _write_text(args.dot, grid_patch_to_dot(patch))
     report = check_grid_local(patch)
     payload = {
         "violations": report.violations,
@@ -386,14 +337,13 @@ def _cmd_grid_check(config: ExperimentConfig):
     return payload, 0 if report.ok else 1, None
 
 
-def _cmd_grid_trace(config: ExperimentConfig):
-    patch = _load_grid(config, "grid")
-    word = parse_word(config.words.get("cell") or "")
+def _cmd_grid_trace(args):
+    patch = _load_grid(args.grid, "grid")
+    word = parse_word(args.cell)
     start = patch.ball.resolve(word)
     if start is None:
         raise SchemaError("cell", f"{format_word(word)!r} is outside the ball")
-    max_steps = config.numbers.get("max_steps") or 10_000
-    trace = orbit_trace(patch, start, max_steps)
+    trace = orbit_trace(patch, start, args.max_steps)
     payload = {
         "cell": format_word(patch.ball.elements[start]),
         "kind": trace.kind,
@@ -403,15 +353,13 @@ def _cmd_grid_trace(config: ExperimentConfig):
     return payload, 1 if trace.kind == "Cycle" else 0, trace.kind
 
 
-def _cmd_grid_cover(config: ExperimentConfig):
-    oracle = group_from_descriptor(_load_json(config.paths["group"]))
-    ball = cayley_ball(oracle, config.numbers["radius"])
-    margin = config.numbers.get("margin") or 2
-    seed = config.numbers.get("seed") or 0
-    result = path_cover_search(ball, margin, seed)
+def _cmd_grid_cover(args):
+    oracle = group_from_descriptor(_load_json(args.group))
+    ball = cayley_ball(oracle, args.radius)
+    result = path_cover_search(ball, args.margin, args.seed)
     if isinstance(result, CoverFailure):
         return {"failure": result.reason}, 1, None
-    problems = result.validate(margin)
+    problems = result.validate(args.margin)
     payload = {
         "problems": problems,
         "succ": {
@@ -429,20 +377,20 @@ def _cmd_grid_cover(config: ExperimentConfig):
         derived = None
     if derived is not None:
         payload["grid"] = grid_patch_to_descriptor(derived)
-        if config.dot:
-            _write_text(config.dot, grid_patch_to_dot(derived))
+        if args.dot:
+            _write_text(args.dot, grid_patch_to_dot(derived))
     return payload, 1 if problems else 0, None
 
 
-def _cmd_grid_seed(config: ExperimentConfig):
-    patch1 = _load_grid(config, "grid1")
-    patch2 = _load_grid(config, "grid2")
+def _cmd_grid_seed(args):
+    patch1 = _load_grid(args.grid1, "grid1")
+    patch2 = _load_grid(args.grid2, "grid2")
     planar = patch_from_descriptor(
-        _unwrap(_load_json(config.paths["config"]), "patch"), "config"
+        _unwrap(_load_json(args.config), "patch"), "config"
     )
     sft = None
-    if config.paths.get("sft"):
-        sft = sft_from_descriptor(_load_json(config.paths["sft"]))
+    if args.sft:
+        sft = sft_from_descriptor(_load_json(args.sft))
     try:
         result = seed_grid_from_config(ProductGridPatch(patch1, patch2), planar, sft)
     except CycleDetected as exc:
@@ -460,16 +408,14 @@ def _cmd_grid_seed(config: ExperimentConfig):
 # final-assembly commands
 
 
-def _cmd_final_check(config: ExperimentConfig):
-    ctx, _ = _load_context(config.paths["ctx"])
+def _cmd_final_check(args):
+    ctx, _ = _load_context(args.ctx)
     patch = final_patch_from_descriptor(
-        _unwrap(_load_json(config.paths["patch"]), "patch")
+        _unwrap(_load_json(args.patch), "patch")
     )
-    budget = config.numbers.get("budget")
-    if budget is None:
-        budget = 10_000
+    f1 = check_F1(patch, ctx, args.budget)
     results = (
-        ("F1", check_F1(patch, ctx, budget)),
+        ("F1", f1),
         ("F2", check_F2(patch)),
         ("F3", check_F3(patch, ctx)),
         ("F4", check_F4(patch, ctx)),
@@ -477,31 +423,20 @@ def _cmd_final_check(config: ExperimentConfig):
     violations = []
     for name, found in results:
         violations.extend([name, *entry] for entry in found)
-    satisfied = 0
-    unchecked = 0
-    for g in range(len(patch.g_ball)):
-        slice_ = patch.omega[g]
-        for grid_patch in (slice_.patch1, slice_.patch2):
-            report = check_grid_local(grid_patch)
-            satisfied += report.satisfied
-            unchecked += report.unchecked
-        report = grid_y_check(slice_, patch.y_slice(g), ctx.sft)
-        satisfied += report.satisfied
-        unchecked += report.unchecked
     payload = {
         "violations": violations,
-        "satisfied": satisfied,
-        "unchecked": unchecked,
+        "satisfied": f1.satisfied,
+        "unchecked": f1.unchecked,
     }
     return payload, 1 if violations else 0, None
 
 
-def _cmd_final_witness(config: ExperimentConfig):
-    ctx, _ = _load_context(config.paths["ctx"])
-    oracle = group_from_descriptor(_load_json(config.paths["group"]))
-    g_ball = cayley_ball(oracle, config.numbers["radius"])
-    shell = cayley_ball(oracle, config.numbers["radius"] + 1)
-    raw = _load_json(config.paths["prefixes"])
+def _cmd_final_witness(args):
+    ctx, _ = _load_context(args.ctx)
+    oracle = group_from_descriptor(_load_json(args.group))
+    g_ball = cayley_ball(oracle, args.radius)
+    shell = cayley_ball(oracle, args.radius + 1)
+    raw = _load_json(args.prefixes)
     if not isinstance(raw, dict):
         raise SchemaError("prefixes", "expected an object of word -> bits")
     prefixes = {}
@@ -512,8 +447,8 @@ def _cmd_final_witness(config: ExperimentConfig):
                 f"prefixes[{text!r}]", "names an element outside the extended ball"
             )
         prefixes[shell.elements[index]] = raw[text]
-    patch1 = _load_grid(config, "grid1")
-    patch2 = _load_grid(config, "grid2")
+    patch1 = _load_grid(args.grid1, "grid1")
+    patch2 = _load_grid(args.grid2, "grid2")
     try:
         result = witness_construct(
             ctx, g_ball, prefixes, ProductGridPatch(patch1, patch2)
@@ -525,23 +460,23 @@ def _cmd_final_witness(config: ExperimentConfig):
     return {"patch": final_patch_to_descriptor(result)}, 0, None
 
 
-def _cmd_final_phi(config: ExperimentConfig):
-    ctx, _ = _load_context(config.paths["ctx"])
+def _cmd_final_phi(args):
+    ctx, _ = _load_context(args.ctx)
     patch = final_patch_from_descriptor(
-        _unwrap(_load_json(config.paths["patch"]), "patch")
+        _unwrap(_load_json(args.patch), "patch")
     )
-    at = parse_word(config.words.get("at") or "")
+    at = parse_word(args.at)
     try:
-        prefix = factor_phi(patch, ctx, config.numbers["depth"], at=at)
+        prefix = factor_phi(patch, ctx, args.depth, at=at)
     except UndecodableWindow as exc:
         return {"prefix": None, "error": str(exc)}, 1, ""
     return {"prefix": prefix, "at": format_word(at)}, 0, prefix
 
 
-def _cmd_final_project(config: ExperimentConfig):
-    ctx, codec = _load_context(config.paths["ctx"])
+def _cmd_final_project(args):
+    ctx, codec = _load_context(args.ctx)
     patch = final_patch_from_descriptor(
-        _unwrap(_load_json(config.paths["patch"]), "patch")
+        _unwrap(_load_json(args.patch), "patch")
     )
     projection = hat_phi_project(patch, ctx, codec)
     table: dict = {}
@@ -561,8 +496,8 @@ def _cmd_final_project(config: ExperimentConfig):
         "undetermined": undetermined,
     }
     status = 0
-    if config.paths.get("pattern"):
-        raw = _load_json(config.paths["pattern"])
+    if args.pattern:
+        raw = _load_json(args.pattern)
         if not isinstance(raw, dict):
             raise SchemaError("pattern", "expected an object of word -> symbol")
         pattern = Pattern.from_pairs(
@@ -578,16 +513,11 @@ def _cmd_final_project(config: ExperimentConfig):
 # aperiodicity commands
 
 
-def _cmd_aperiodic_color(config: ExperimentConfig):
-    oracle = group_from_descriptor(_load_json(config.paths["group"]))
-    ball = cayley_ball(oracle, config.numbers["radius"])
+def _cmd_aperiodic_color(args):
+    oracle = group_from_descriptor(_load_json(args.group))
+    ball = cayley_ball(oracle, args.radius)
     try:
-        result = square_free_search(
-            ball,
-            config.numbers["k"],
-            config.numbers["maxlen"],
-            config.numbers.get("budget"),
-        )
+        result = square_free_search(ball, args.k, args.maxlen, args.budget)
     except ResourceLimit as exc:
         return {"failure": str(exc)}, 1, None
     if isinstance(result, ColoringFailure):
@@ -595,14 +525,12 @@ def _cmd_aperiodic_color(config: ExperimentConfig):
     return {"coloring": colored_ball_to_descriptor(result)}, 0, None
 
 
-def _cmd_aperiodic_verify(config: ExperimentConfig):
+def _cmd_aperiodic_verify(args):
     colored = colored_ball_from_descriptor(
-        _unwrap(_load_json(config.paths["coloring"]), "coloring")
+        _unwrap(_load_json(args.coloring), "coloring")
     )
     try:
-        offending = square_free_verify(
-            colored, config.numbers["maxlen"], config.numbers.get("budget")
-        )
+        offending = square_free_verify(colored, args.maxlen, args.budget)
     except ResourceLimit as exc:
         return {"failure": str(exc)}, 1, None
     flagged = {cell for path in offending for cell in path}
@@ -617,22 +545,16 @@ def _cmd_aperiodic_verify(config: ExperimentConfig):
     return payload, 1 if offending else 0, None
 
 
-def _cmd_aperiodic_probe(config: ExperimentConfig):
-    paths = config.paths.get("colorings") or ()
-    if not paths:
-        raise SchemaError("coloring", "pass --coloring at least once")
+def _cmd_aperiodic_probe(args):
     factors = [
         colored_ball_from_descriptor(
             _unwrap(_load_json(path), "coloring"), f"coloring[{i}]"
         )
-        for i, path in enumerate(paths)
+        for i, path in enumerate(args.coloring)
     ]
     try:
         report = product_aperiodicity_probe(
-            factors,
-            config.numbers["length_limit"],
-            config.numbers["square_length"],
-            config.numbers.get("budget"),
+            factors, args.length_limit, args.square_length, args.budget
         )
     except ResourceLimit as exc:
         return {"failure": str(exc)}, 1, None
@@ -652,67 +574,12 @@ def _cmd_aperiodic_probe(config: ExperimentConfig):
     return payload, 0 if report.ok else 1, None
 
 
-_HANDLERS = {
-    "ball": _cmd_ball,
-    "wp": _cmd_wp,
-    "nn check": _cmd_nn_check,
-    "nn extend": _cmd_nn_extend,
-    "oracle query": _cmd_oracle_query,
-    "toeplitz encode": _cmd_toeplitz_encode,
-    "toeplitz decode": _cmd_toeplitz_decode,
-    "grid check": _cmd_grid_check,
-    "grid trace": _cmd_grid_trace,
-    "grid cover": _cmd_grid_cover,
-    "grid seed": _cmd_grid_seed,
-    "final check": _cmd_final_check,
-    "final witness": _cmd_final_witness,
-    "final phi": _cmd_final_phi,
-    "final project": _cmd_final_project,
-    "aperiodic color": _cmd_aperiodic_color,
-    "aperiodic verify": _cmd_aperiodic_verify,
-    "aperiodic probe": _cmd_aperiodic_probe,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _config_from_args(command: str, args) -> ExperimentConfig:
-    paths = {}
-    for key in _PATH_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            paths[key] = value
-    coloring = getattr(args, "coloring", None)
-    if isinstance(coloring, list):
-        paths["colorings"] = tuple(coloring)
-    elif coloring is not None:
-        paths["coloring"] = coloring
-    numbers = {}
-    for key in _NUMBER_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            numbers[key] = value
-    words = {}
-    for key in _WORD_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            words[key] = value
-    return ExperimentConfig(
-        command=command,
-        paths=paths,
-        numbers=numbers,
-        words=words,
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", "json"),
-        dot=getattr(args, "dot", None),
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     common.add_argument("--out", help="write the report to this file instead of stdout")
     common.add_argument(
         "--format", dest="fmt", choices=("json", "text"), default="json",
@@ -725,102 +592,113 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command")
 
-    def leaf(group, name, command, **kwargs):
-        sub = group.add_parser(name, parents=[common], **kwargs)
-        sub.set_defaults(command_name=command)
+    def leaf(group, command, handler, **kwargs):
+        sub = group.add_parser(command.split()[-1], parents=[common], **kwargs)
+        sub.set_defaults(command_name=command, handler=handler)
         return sub
 
     def nested(name, help_text):
         sub = top.add_parser(name, help=help_text)
         return sub.add_subparsers(dest="subcommand")
 
-    ball = leaf(top, "ball", "ball", help="enumerate a Cayley ball")
+    ball = leaf(top, "ball", _cmd_ball, help="enumerate a Cayley ball")
     ball.add_argument("--group", required=True, help="group descriptor file")
     ball.add_argument("--radius", type=int, required=True)
     ball.add_argument("--dot", help="also write the ball graph as DOT")
 
-    wp = leaf(top, "wp", "wp", help="decide whether a word is the identity")
+    wp = leaf(top, "wp", _cmd_wp, help="decide whether a word is the identity")
     wp.add_argument("--group", required=True, help="group descriptor file")
     wp.add_argument("--word", required=True, help="generator word, symbols space-separated")
 
     nn = nested("nn", "planar nearest-neighbour SFT patches")
-    nn_check = leaf(nn, "check", "nn check", help="check a patch against an SFT")
+    nn_check = leaf(nn, "nn check", _cmd_nn_check, help="check a patch against an SFT")
     nn_check.add_argument("--sft", required=True)
     nn_check.add_argument("--patch", required=True)
-    nn_extend = leaf(nn, "extend", "nn extend", help="complete a partial patch")
+    nn_extend = leaf(nn, "nn extend", _cmd_nn_extend, help="complete a partial patch")
     nn_extend.add_argument("--sft", required=True)
     nn_extend.add_argument("--patch", required=True)
-    nn_extend.add_argument("--max-nodes", dest="max_nodes", type=int)
+    nn_extend.add_argument("--max-nodes", dest="max_nodes", type=int, default=200_000)
 
     oracle = nested("oracle", "budgeted subshift oracles")
-    query = leaf(oracle, "query", "oracle query", help="query a coded-set oracle")
+    query = leaf(oracle, "oracle query", _cmd_oracle_query, help="query a coded-set oracle")
     query.add_argument("--subshift", required=True, help="subshift descriptor file")
     query.add_argument("--word", required=True, help="binary coding word")
     query.add_argument("--budget", type=int, required=True)
     query.add_argument("--radius", type=int, help="codec ball radius (default: fits the word)")
 
     toeplitz = nested("toeplitz", "almost-periodic bit spreading")
-    encode = leaf(toeplitz, "encode", "toeplitz encode", help="spread a prefix over positions")
+    encode = leaf(toeplitz, "toeplitz encode", _cmd_toeplitz_encode,
+                  help="spread a prefix over positions")
     encode.add_argument("--prefix", required=True, help="bit string to spread")
     encode.add_argument("--from", dest="start", type=int, required=True, help="first position")
     encode.add_argument("--len", dest="length", type=int, required=True, help="window length")
-    decode = leaf(toeplitz, "decode", "toeplitz decode", help="recover a prefix from a window")
+    decode = leaf(toeplitz, "toeplitz decode", _cmd_toeplitz_decode,
+                  help="recover a prefix from a window")
     decode.add_argument("--word", help="window text")
     decode.add_argument("--file", help="JSON file of per-layer windows")
 
     grid = nested("grid", "translation-structured labelled balls")
-    grid_check = leaf(grid, "check", "grid check", help="check grid labels locally")
+    grid_check = leaf(grid, "grid check", _cmd_grid_check, help="check grid labels locally")
     grid_check.add_argument("--grid", required=True, help="grid patch descriptor file")
     grid_check.add_argument("--dot", help="also write the successor graph as DOT")
-    trace = leaf(grid, "trace", "grid trace", help="follow successor labels from a cell")
+    trace = leaf(grid, "grid trace", _cmd_grid_trace, help="follow successor labels from a cell")
     trace.add_argument("--grid", required=True)
     trace.add_argument("--cell", default="", help="start cell as a word (default: identity)")
-    trace.add_argument("--max-steps", dest="max_steps", type=int)
-    cover = leaf(grid, "cover", "grid cover", help="search for a deep path cover of a ball")
+    trace.add_argument("--max-steps", dest="max_steps", type=int, default=10_000)
+    cover = leaf(grid, "grid cover", _cmd_grid_cover,
+                 help="search for a deep path cover of a ball")
     cover.add_argument("--group", required=True)
     cover.add_argument("--radius", type=int, required=True)
     cover.add_argument("--margin", type=int, default=2)
+    cover.add_argument("--seed", type=int, default=0, help="seed for the cover repair loop")
     cover.add_argument("--dot", help="write the derived grid as DOT when labels exist")
-    seed_cmd = leaf(grid, "seed", "grid seed", help="spread a planar patch over a product ball")
+    seed_cmd = leaf(grid, "grid seed", _cmd_grid_seed,
+                    help="spread a planar patch over a product ball")
     seed_cmd.add_argument("--grid1", required=True)
     seed_cmd.add_argument("--grid2", required=True)
     seed_cmd.add_argument("--config", required=True, help="planar patch descriptor file")
     seed_cmd.add_argument("--sft", help="optional local rule the configuration must satisfy")
 
     final = nested("final", "assembled product-extension patches")
-    final_check = leaf(final, "check", "final check", help="run the four local checker families")
+    final_check = leaf(final, "final check", _cmd_final_check,
+                       help="run the four local checker families")
     final_check.add_argument("--ctx", required=True, help="context file: subshift + codec radius")
     final_check.add_argument("--patch", required=True)
-    final_check.add_argument("--budget", type=int)
-    witness = leaf(final, "witness", "final witness", help="assemble a patch from prefixes")
+    final_check.add_argument("--budget", type=int, default=10_000)
+    witness = leaf(final, "final witness", _cmd_final_witness,
+                   help="assemble a patch from prefixes")
     witness.add_argument("--ctx", required=True)
     witness.add_argument("--group", required=True)
     witness.add_argument("--radius", type=int, required=True)
     witness.add_argument("--prefixes", required=True, help="JSON file of word -> bits")
     witness.add_argument("--grid1", required=True)
     witness.add_argument("--grid2", required=True)
-    phi = leaf(final, "phi", "final phi", help="read the factor-map prefix off a patch")
+    phi = leaf(final, "final phi", _cmd_final_phi, help="read the factor-map prefix off a patch")
     phi.add_argument("--ctx", required=True)
     phi.add_argument("--patch", required=True)
     phi.add_argument("--depth", type=int, required=True)
     phi.add_argument("--at", default="", help="slice to read from (default: identity)")
-    project = leaf(final, "project", "final project", help="project a patch to alphabet symbols")
+    project = leaf(final, "final project", _cmd_final_project,
+                   help="project a patch to alphabet symbols")
     project.add_argument("--ctx", required=True)
     project.add_argument("--patch", required=True)
     project.add_argument("--pattern", help="expected word -> symbol JSON to compare against")
 
     aperiodic = nested("aperiodic", "repetition-free colorings")
-    color = leaf(aperiodic, "color", "aperiodic color", help="search for a square-free coloring")
+    color = leaf(aperiodic, "aperiodic color", _cmd_aperiodic_color,
+                 help="search for a square-free coloring")
     color.add_argument("--group", required=True)
     color.add_argument("--radius", type=int, required=True)
     color.add_argument("-k", dest="k", type=int, required=True, help="number of colors")
     color.add_argument("--maxlen", type=int, required=True, help="largest checked path length")
     color.add_argument("--budget", type=int)
-    verify = leaf(aperiodic, "verify", "aperiodic verify", help="re-verify a stored coloring")
+    verify = leaf(aperiodic, "aperiodic verify", _cmd_aperiodic_verify,
+                  help="re-verify a stored coloring")
     verify.add_argument("--coloring", required=True)
     verify.add_argument("--maxlen", type=int, required=True)
     verify.add_argument("--budget", type=int)
-    probe = leaf(aperiodic, "probe", "aperiodic probe", help="probe a product for short periods")
+    probe = leaf(aperiodic, "aperiodic probe", _cmd_aperiodic_probe,
+                 help="probe a product for short periods")
     probe.add_argument(
         "--coloring", action="append", required=True,
         help="colored-ball file; repeat once per factor",

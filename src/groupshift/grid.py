@@ -14,8 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .errors import (
     BallTooSmall,
     CycleDetected,
@@ -294,6 +292,8 @@ def path_cover_search(
 
 def _two_matching(order, count, interior):
     """Union of two successive interior-saturating matchings."""
+    import networkx as nx  # only cover searches need it, and it is slow to import
+
     big = count + 1
 
     def weight(a, b):

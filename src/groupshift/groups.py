@@ -459,7 +459,7 @@ class CayleyBall:
     the identity generator are self-loops; path machinery skips them.
     """
 
-    def __init__(self, oracle: GroupOracle, radius: int, elements, distance, edges):
+    def __init__(self, oracle: GroupOracle, radius: int, elements, distance, edges, keyed):
         self.oracle = oracle
         self.radius = radius
         self.elements: list[Word] = elements
@@ -467,7 +467,7 @@ class CayleyBall:
         self.index: dict[Word, int] = {w: i for i, w in enumerate(elements)}
         self.edges: dict[tuple[int, str], int] = edges
         self._resolve_memo: dict[Word, Optional[int]] = dict(self.index)
-        self._keyed = {oracle.canonical_key(w): i for i, w in enumerate(elements)}
+        self._keyed: dict = keyed  # canonical key -> element index
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -504,7 +504,8 @@ class CayleyBall:
             for (i, sym), j in self.edges.items()
             if i < count and j < count
         }
-        return CayleyBall(self.oracle, radius, elements, distance, edges)
+        keyed = {key: i for key, i in self._keyed.items() if i < count}
+        return CayleyBall(self.oracle, radius, elements, distance, edges, keyed)
 
 
 def cayley_ball(oracle: GroupOracle, radius: int, max_elements: int = 1_000_000) -> CayleyBall:
@@ -545,7 +546,7 @@ def cayley_ball(oracle: GroupOracle, radius: int, max_elements: int = 1_000_000)
             target = key_index.get(oracle.canonical_key(word + (sym,)))
             if target is not None:
                 edges[(i, sym)] = target
-    return CayleyBall(oracle, radius, elements, distance, edges)
+    return CayleyBall(oracle, radius, elements, distance, edges, key_index)
 
 
 def group_from_descriptor(obj, path: str = "group") -> GroupOracle:

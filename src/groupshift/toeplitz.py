@@ -19,7 +19,7 @@ from .errors import (
     UndecodableWindow,
     UnknownSymbol,
 )
-from .effective import ActionOracle, SetOracle, Verdict
+from .effective import ActionOracle, SetOracle, Verdict, _check_binary
 
 FILLER = "␣"
 TSYMS = ("0", "1", FILLER)
@@ -29,12 +29,6 @@ def _check_tword(word: str) -> None:
     for ch in word:
         if ch not in TSYMS:
             raise UnknownSymbol(f"expected 0, 1 or {FILLER!r}, found {ch!r}")
-
-
-def _check_binary(word: str) -> None:
-    for ch in word:
-        if ch not in "01":
-            raise UnknownSymbol(f"expected a binary word, found {ch!r}")
 
 
 def symbol_depth(j: int):

@@ -3,16 +3,26 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
+import groupshift
+from groupshift.assembly import final_patch_from_descriptor, standard_context
 from groupshift.cli import main
-from groupshift.effective import make_codec
+from groupshift.effective import (
+    make_codec,
+    rho_action_oracle,
+    rho_set_oracle,
+    subshift_from_descriptor,
+)
 from groupshift.grid import (
     GridLabel,
     GridPatch,
+    check_grid_local,
     from_translation_action,
     grid_patch_to_descriptor,
+    grid_y_check,
 )
 from groupshift.groups import FreeAbelianOracle, cayley_ball, format_word
 from groupshift.shiftcore import Alphabet
@@ -386,6 +396,38 @@ def test_final_witness_passes_all_checkers(tmp_path, capsys):
     assert obj["unchecked"] > 0
 
 
+def test_final_check_counts_are_the_per_slice_local_checks(tmp_path, capsys):
+    ctx_path, witness = final_fixture(tmp_path)
+    capsys.readouterr()
+    spec = subshift_from_descriptor(GOLDEN_SUBSHIFT)
+    codec = make_codec(spec.group, spec.alphabet, 4)
+    ctx = standard_context(
+        rho_set_oracle(codec, spec.forbidden),
+        rho_action_oracle(codec, spec.forbidden),
+        codec.kappa,
+    )
+    stored = json.loads((tmp_path / "witness.json").read_text(encoding="utf-8"))
+    stored["patch"]["y"][""]["x"][""] = "111"
+    broken = write(tmp_path, "broken.json", stored)
+    for path in (witness, broken):
+        patch = final_patch_from_descriptor(
+            json.loads(open(path, encoding="utf-8").read())["patch"]
+        )
+        satisfied = unchecked = 0
+        for g in range(len(patch.g_ball)):
+            slc = patch.omega[g]
+            for local in (
+                check_grid_local(slc.patch1),
+                check_grid_local(slc.patch2),
+                grid_y_check(slc, patch.y_slice(g), ctx.sft),
+            ):
+                satisfied += local.satisfied
+                unchecked += local.unchecked
+        _, out, _ = run_cli(capsys, ["final", "check", "--ctx", ctx_path, "--patch", path])
+        obj = report(out)
+        assert (obj["satisfied"], obj["unchecked"]) == (satisfied, unchecked)
+
+
 def test_final_phi_reads_the_coded_prefix(tmp_path, capsys):
     ctx, witness = final_fixture(tmp_path)
     capsys.readouterr()
@@ -579,6 +621,59 @@ def test_out_of_range_number_is_a_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["ball", "--group", group, "--radius", "-1"])
     assert code == 2
     assert "radius" in err
+
+
+def test_omitted_limits_equal_their_documented_defaults(tmp_path, capsys):
+    sft = write(tmp_path, "sft.json", GOLDEN_SFT)
+    partial = write(
+        tmp_path, "patch.json", {"origin": [0, 0], "rows": [["1", None, "1"]]}
+    )
+    line = write(tmp_path, "line.json", line_grid_descriptor(2))
+    ctx, witness = final_fixture(tmp_path)
+    capsys.readouterr()
+    for argv, option in (
+        (["nn", "extend", "--sft", sft, "--patch", partial], ["--max-nodes", "200000"]),
+        (["grid", "trace", "--grid", line, "--cell", "x-"], ["--max-steps", "10000"]),
+        (["final", "check", "--ctx", ctx, "--patch", witness], ["--budget", "10000"]),
+    ):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert run_cli(capsys, argv + option) == (code, out, "")
+
+
+def test_seed_is_a_grid_cover_option(tmp_path, capsys):
+    group = write(tmp_path, "z.json", Z)
+    sft = write(tmp_path, "sft.json", GOLDEN_SFT)
+    partial = write(
+        tmp_path, "patch.json", {"origin": [0, 0], "rows": [["1", None, "1"]]}
+    )
+    code, _, err = run_cli(
+        capsys, ["nn", "extend", "--sft", sft, "--patch", partial, "--max-nodes", "0"]
+    )
+    assert code == 2
+    assert "max_nodes" in err
+    code, _, err = run_cli(capsys, ["ball", "--group", group, "--radius", "1", "--seed", "1"])
+    assert code == 2
+    assert "--seed" in err
+    code, out, _ = run_cli(
+        capsys, ["grid", "cover", "--group", group, "--radius", "4", "--seed", "1"]
+    )
+    assert code == 0
+    assert report(out)["problems"] == []
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    src = os.path.dirname(os.path.dirname(groupshift.__file__))
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import groupshift.cli, sys; sys.exit('networkx' in sys.modules)",
+        ],
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    assert completed.returncode == 0
 
 
 def test_decode_requires_word_or_file(capsys):

@@ -305,6 +305,19 @@ def test_ball_resolve_and_restrict():
     assert gball.resolve(parse_word("b c")) == gball.index[parse_word("d")]
 
 
+def test_restricted_ball_resolves_other_spellings():
+    for oracle in all_oracles():
+        ball = cayley_ball(oracle, 3)
+        small = ball.restrict(2)
+        gens = oracle.gens
+        sym = next(s for s in gens.symbols if s != gens.identity)
+        for i, word in enumerate(ball.elements):
+            # A detour the memo of element words does not hold.
+            spelling = (sym, gens.inverse_of(sym)) + word
+            assert ball.resolve(spelling) == i
+            assert small.resolve(spelling) == (i if i < len(small) else None)
+
+
 def test_group_descriptors_round_trip():
     z2 = group_from_descriptor({"kind": "free_abelian", "rank": 2})
     assert z2.is_identity(parse_word("x y x- y-"))
