@@ -7,6 +7,11 @@ somewhere.  This module searches for repetition-free colorings, verifies
 them, detects whether a candidate translation is respected or broken by a
 (product) coloring, and computes periodic rows of one-dimensional
 nearest-neighbour shifts.
+
+A product cell matches its translate exactly when every factor cell does,
+so a product verdict is combined from factor verdicts and product cells
+are never enumerated: Undetermined if some factor is, else Broken if some
+factor is, else Respected.
 """
 
 from __future__ import annotations
@@ -234,6 +239,9 @@ def period_comparisons(coloring: ProductColoring, g: PeriodCandidate):
 
     A product cell is comparable when every component translate stays in
     its factor ball; the value records equality of the two color tuples.
+    This enumerates all product cells, so it is the reference the tests
+    check the factorwise `detect_period` against; the benchmark tracer
+    also resolves it by name.
     """
     if len(g.components) != len(coloring.factors):
         raise ValueError("candidate and coloring have different factor counts")
@@ -253,19 +261,38 @@ def period_comparisons(coloring: ProductColoring, g: PeriodCandidate):
     return out
 
 
+def _factor_status(cb: ColoredBall, component: Word) -> PeriodStatus:
+    """Verdict of one factor: no comparable cell, a mismatch, or neither."""
+    pairs = _translate_pairs(cb, component)
+    if not pairs:
+        return PeriodStatus.UNDETERMINED
+    if all(cb.colors[h] == cb.colors[t] for h, t in pairs):
+        return PeriodStatus.RESPECTED
+    return PeriodStatus.BROKEN
+
+
+_PRECEDENCE = (PeriodStatus.UNDETERMINED, PeriodStatus.BROKEN, PeriodStatus.RESPECTED)
+
+
+def _combine(statuses) -> PeriodStatus:
+    return min(statuses, key=_PRECEDENCE.index)
+
+
 def detect_period(coloring: ProductColoring, g: PeriodCandidate) -> PeriodStatus:
     """Three-valued verdict: does the coloring respect the translation g?
 
     Broken needs one mismatching comparable cell; Respected needs at least
     one comparison and no mismatch; no comparable cell is Undetermined,
-    never silently promoted to Respected.
+    never silently promoted to Respected.  A product cell matches its
+    translate exactly when every factor cell does, so the verdict is
+    decided factor by factor: Undetermined if some factor is, else Broken
+    if some factor is, else Respected.
     """
-    comparisons = period_comparisons(coloring, g)
-    if not comparisons:
-        return PeriodStatus.UNDETERMINED
-    if all(comparisons.values()):
-        return PeriodStatus.RESPECTED
-    return PeriodStatus.BROKEN
+    if len(g.components) != len(coloring.factors):
+        raise ValueError("candidate and coloring have different factor counts")
+    return _combine(
+        _factor_status(cb, comp) for cb, comp in zip(coloring.factors, g.components)
+    )
 
 
 def product_aperiodicity_probe(
@@ -277,43 +304,35 @@ def product_aperiodicity_probe(
     """Try every short translation against a product of colored balls.
 
     Candidates combine one ball element of length <= length_limit per
-    factor, skipping the all-identity combination.  Each factor is also
-    re-checked for repetitions up to square_length; a factor that fails
-    shows up both in the counts and as Respected candidates.
+    factor, skipping the all-identity combination.  Each verdict is
+    combined from one status per (factor, component), as in
+    `detect_period`; broken_by names the first Broken factor.  Each
+    factor is also re-checked for repetitions up to square_length; a
+    factor that fails shows up both in the counts and as Respected
+    candidates.
     """
     factors = tuple(factors)
     violation_counts = tuple(
         len(square_free_verify(cb, square_length, budget)) for cb in factors
     )
-    coloring = ProductColoring(factors)
-    component_lists = []
-    for cb in factors:
-        component_lists.append(
-            [
-                cb.ball.elements[h]
-                for h in range(len(cb.ball))
-                if cb.ball.distance[h] <= length_limit
-            ]
-        )
-    single: dict[tuple[int, Word], PeriodStatus] = {}
-    for i, cb in enumerate(factors):
-        for comp in component_lists[i]:
-            if comp:
-                single[(i, comp)] = detect_period(
-                    ProductColoring((cb,)), PeriodCandidate((comp,))
-                )
+    # The identity component pairs every cell with itself: Respected.
+    tables = [
+        {
+            word: _factor_status(cb, word)
+            for word, dist in zip(cb.ball.elements, cb.ball.distance)
+            if dist <= length_limit
+        }
+        for cb in factors
+    ]
     entries = []
-    for combo in itertools.product(*component_lists):
-        if all(not comp for comp in combo):
+    for combo in itertools.product(*(table.items() for table in tables)):
+        components = tuple(comp for comp, _ in combo)
+        if not any(components):
             continue
-        candidate = PeriodCandidate(combo)
-        status = detect_period(coloring, candidate)
-        broken_by = None
-        for i, comp in enumerate(combo):
-            if comp and single[(i, comp)] is PeriodStatus.BROKEN:
-                broken_by = i
-                break
-        entries.append(ProbeEntry(candidate, status, broken_by))
+        statuses = [status for _, status in combo]
+        broken = [i for i, status in enumerate(statuses) if status is PeriodStatus.BROKEN]
+        candidate = PeriodCandidate(components)
+        entries.append(ProbeEntry(candidate, _combine(statuses), broken[0] if broken else None))
     return ProbeReport(tuple(entries), violation_counts)
 
 

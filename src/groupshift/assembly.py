@@ -37,8 +37,9 @@ from .grid import (
     seed_grid_from_config,
 )
 from .groups import CayleyBall, cayley_ball, group_from_descriptor, parse_word
-from .shiftcore import NNSFT2D, Alphabet, Pattern, Patch2D
-from .toeplitz import FILLER, LayeredWord, WindowVerdict, gamma_prefix, psi_tilde, top1d_forbidden
+from .shiftcore import NNSFT2D, Alphabet, Pattern, Patch2D, Violations
+from .toeplitz import FILLER, LayeredWord, WindowVerdict, action_layers, gamma_prefix
+from .toeplitz import psi_tilde, top1d_forbidden
 
 
 class _UndeterminedType:
@@ -51,15 +52,6 @@ class _UndeterminedType:
 
 
 UNDETERMINED = _UndeterminedType()
-
-
-def action_layers(oracle: ActionOracle) -> tuple:
-    """Layer order of the records: identity first, then the generators."""
-    layers = []
-    for s in (oracle.identity,) + tuple(oracle.generators):
-        if s not in layers:
-            layers.append(s)
-    return tuple(layers)
 
 
 def top_layer_sft(layers) -> tuple:
@@ -172,36 +164,11 @@ def _record(ctx: FactorContext, sym) -> str:
     return record
 
 
-def _cells_layered(ctx, patch: FinalPatch, g: int, cells, h2: int) -> LayeredWord:
-    records = [_record(ctx, patch.y_sym[(g, h1, h2)]) for h1 in cells]
-    layers = {
-        s: "".join(rec[i] for rec in records) for i, s in enumerate(ctx.layers)
-    }
-    return LayeredWord(len(records), layers, 0)
-
-
-def _window_layered(ctx, slc, y_slice, base, length: int):
-    """Layered word read rightwards from a base cell, or None off the grid."""
-    window = read_grid(slc, y_slice, base, (0, 0, length, 1))
-    if window is None:
-        return None
-    records = [_record(ctx, window.get(x, 0)) for x in range(length)]
-    layers = {
-        s: "".join(rec[i] for rec in records) for i, s in enumerate(ctx.layers)
-    }
-    return LayeredWord(length, layers, 0)
-
-
-class Violations(list):
-    """A checker's violation list that also counts its local constraints:
-    `satisfied` held, `unchecked` reached past the edge of the ball."""
-
-    satisfied = 0
-    unchecked = 0
-
-    def tally(self, report) -> None:
-        self.satisfied += report.satisfied
-        self.unchecked += report.unchecked
+def _layered(ctx, symbols) -> LayeredWord:
+    """Layered word of a run of vertical-shift symbols, one record each."""
+    records = [_record(ctx, sym) for sym in symbols]
+    columns = map("".join, zip(*records))
+    return LayeredWord(len(records), dict(zip(ctx.layers, columns)), 0)
 
 
 def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Violations:
@@ -238,9 +205,8 @@ def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Vio
             length = 3 ** (depth + 1)
             for h2 in range(len(slc.patch2.ball)):
                 for offset in range(len(chain) - length + 1):
-                    window = _cells_layered(
-                        ctx, patch, g, chain[offset : offset + length], h2
-                    )
+                    cells = chain[offset : offset + length]
+                    window = _layered(ctx, (patch.y_sym[(g, h1, h2)] for h1 in cells))
                     verdict = top1d_forbidden(window, ctx.X, ctx.T, budget)
                     if verdict is WindowVerdict.FORBIDDEN:
                         violations.append((g, "row", (ci, h2, offset)))
@@ -327,9 +293,10 @@ def check_F4(patch: FinalPatch, ctx: FactorContext) -> list:
             length = 3 ** (m + 1)
 
             def decode(base):
-                window = _window_layered(ctx, slc, y_slice, base, length)
-                if window is None:
+                row = read_grid(slc, y_slice, base, (0, 0, length, 1))
+                if row is None:
                     return None, "unreadable"
+                window = _layered(ctx, (row.get(x, 0) for x in range(length)))
                 try:
                     return gamma_prefix(window, ctx.T.identity, depth=m), None
                 except UndecodableWindow:
@@ -368,9 +335,10 @@ def factor_phi(patch: FinalPatch, ctx: FactorContext, n: int, at=()) -> str:
             f"row ball radius {slc.patch1.ball.radius} cannot hold a {length}-window"
         )
     base = (slc.patch1.ball.index[()], slc.patch2.ball.index[()])
-    window = _window_layered(ctx, slc, patch.y_slice(g), base, length)
-    if window is None:
+    row = read_grid(slc, patch.y_slice(g), base, (0, 0, length, 1))
+    if row is None:
         raise UndecodableWindow("the rightward walk leaves the grid before the window ends")
+    window = _layered(ctx, (row.get(x, 0) for x in range(length)))
     return gamma_prefix(window, ctx.T.identity, depth=n)
 
 
@@ -457,10 +425,11 @@ def hat_phi_project(patch: FinalPatch, ctx: FactorContext, codec: SubshiftCodec)
         y_slice = patch.y_slice(g)
         for h1 in range(len(slc.patch1.ball)):
             for h2 in range(len(slc.patch2.ball)):
-                window = _window_layered(ctx, slc, y_slice, (h1, h2), length)
-                if window is None:
+                row = read_grid(slc, y_slice, (h1, h2), (0, 0, length, 1))
+                if row is None:
                     projection[(g, h1, h2)] = UNDETERMINED
                     continue
+                window = _layered(ctx, (row.get(x, 0) for x in range(length)))
                 try:
                     bits = gamma_prefix(window, ctx.T.identity, depth=ctx.kappa - 1)
                 except UndecodableWindow:

@@ -229,23 +229,10 @@ def _cmd_nn_check(args):
     sft = sft_from_descriptor(_load_json(args.sft))
     patch = patch_from_descriptor(_unwrap(_load_json(args.patch), "patch"))
     violations = check_patch_nn(sft, patch)
-    satisfied = 0
-    unchecked = 0
-    for x, y in patch.positions():
-        a = patch.get(x, y)
-        for dx, dy, allowed in ((1, 0, sft.allowed_h), (0, 1, sft.allowed_v)):
-            if not patch.contains(x + dx, y + dy):
-                unchecked += 1
-                continue
-            b = patch.get(x + dx, y + dy)
-            if a is None or b is None:
-                unchecked += 1
-            elif (a, b) in allowed:
-                satisfied += 1
     payload = {
         "violations": [[list(cell), axis, a, b] for cell, axis, a, b in violations],
-        "satisfied": satisfied,
-        "unchecked": unchecked,
+        "satisfied": violations.satisfied,
+        "unchecked": violations.unchecked,
     }
     return payload, 1 if violations else 0, None
 

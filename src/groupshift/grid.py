@@ -22,7 +22,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .groups import CayleyBall, cayley_ball, group_from_descriptor, parse_word
-from .shiftcore import NNSFT2D, Patch2D
+from .shiftcore import NNSFT2D, Patch2D, check_patch_nn
 
 
 @dataclass(frozen=True)
@@ -561,8 +561,6 @@ def seed_grid_from_config(omega: ProductGridPatch, c: Patch2D, sft: NNSFT2D = No
     some class's coordinate span.
     """
     if sft is not None:
-        from .shiftcore import check_patch_nn
-
         bad = check_patch_nn(sft, c)
         if bad:
             return SeedFailure(f"source patch violates the local rule at {bad[0][0]}")

@@ -199,26 +199,41 @@ def patch_to_descriptor(patch: Patch2D) -> dict:
     return {"origin": [patch.x0, patch.y0], "rows": rows}
 
 
-def check_patch_nn(sft: NNSFT2D, patch: Patch2D) -> list:
+class Violations(list):
+    """A checker's violation list that also counts its local constraints:
+    `satisfied` held, `unchecked` reached past the edge of the ball or
+    patch, or touched a hole."""
+
+    satisfied = 0
+    unchecked = 0
+
+    def tally(self, report) -> None:
+        self.satisfied += report.satisfied
+        self.unchecked += report.unchecked
+
+
+def check_patch_nn(sft: NNSFT2D, patch: Patch2D) -> Violations:
     """Every adjacent pair that violates the SFT, as ((x, y), axis, a, b).
 
     The pair is anchored at its left (for "h") or bottom (for "v") cell.
-    Pairs touching a hole are skipped.
+    A pair whose second cell lies outside the patch, or that touches a
+    hole, counts as unchecked; an allowed pair counts as satisfied.
     """
     for value in patch.cells.values():
         if value is not HOLE and value not in sft.alphabet:
             raise AlphabetMismatch(repr(value))
-    violations = []
+    axes = (("h", 1, 0, sft.allowed_h), ("v", 0, 1, sft.allowed_v))
+    violations = Violations()
     for (x, y) in patch.positions():
         a = patch.get(x, y)
-        if a is HOLE:
-            continue
-        b = patch.get(x + 1, y)
-        if patch.contains(x + 1, y) and b is not HOLE and (a, b) not in sft.allowed_h:
-            violations.append(((x, y), "h", a, b))
-        c = patch.get(x, y + 1)
-        if patch.contains(x, y + 1) and c is not HOLE and (a, c) not in sft.allowed_v:
-            violations.append(((x, y), "v", a, c))
+        for axis, dx, dy, allowed in axes:
+            b = patch.get(x + dx, y + dy)
+            if a is HOLE or b is HOLE or not patch.contains(x + dx, y + dy):
+                violations.unchecked += 1
+            elif (a, b) in allowed:
+                violations.satisfied += 1
+            else:
+                violations.append(((x, y), axis, a, b))
     return violations
 
 

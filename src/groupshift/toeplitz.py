@@ -244,6 +244,11 @@ class WindowVerdict(Enum):
     NOT_CERTIFIED = "NotCertified"
 
 
+def action_layers(oracle: ActionOracle) -> tuple:
+    """Layer order of the records: identity first, then the generators."""
+    return tuple(dict.fromkeys((oracle.identity, *oracle.generators)))
+
+
 def top1d_forbidden(
     w: LayeredWord, X: SetOracle, T: ActionOracle, budget: int
 ) -> WindowVerdict:
@@ -255,10 +260,7 @@ def top1d_forbidden(
     budget — that some decoded prefix u(s) has empty cylinder in X, or
     that [u(s)] misses the s-image of [u(identity)] ∩ X.
     """
-    symbols = []
-    for s in (T.identity,) + tuple(T.generators):
-        if s not in symbols:
-            symbols.append(s)
+    symbols = action_layers(T)
     decoded = {}
     for s in symbols:
         bits = decode_procedure(w.layer(s))

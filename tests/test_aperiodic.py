@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from groupshift.aperiodic import (
     ColoredBall,
@@ -24,7 +28,12 @@ from groupshift.aperiodic import (
     z_sft_periodic_point,
 )
 from groupshift.errors import ResourceLimit, SchemaError
-from groupshift.groups import FreeAbelianOracle, cayley_ball
+from groupshift.groups import (
+    FreeAbelianOracle,
+    FreeGroupOracle,
+    GrigorchukOracle,
+    cayley_ball,
+)
 
 
 def line_ball(radius):
@@ -157,6 +166,8 @@ def test_constant_coloring_respects_every_translation():
     coloring = ProductColoring((constant,))
     for word in (("x",), ("x-",), ("x", "x")):
         assert detect_period(coloring, PeriodCandidate((word,))) is PeriodStatus.RESPECTED
+    with pytest.raises(ValueError):
+        detect_period(coloring, PeriodCandidate((("x",), ())))
 
 
 def test_repetition_free_coloring_breaks_every_short_translation():
@@ -252,6 +263,109 @@ def test_probe_reports_a_constant_factor_as_weak():
             assert entry.broken_by is None
         else:
             assert entry.status is PeriodStatus.BROKEN
+
+
+def test_probe_handles_four_factors():
+    factors = [word_coloring(10)] * 4
+    started = time.perf_counter()
+    report = product_aperiodicity_probe(factors, 2, 10)
+    elapsed = time.perf_counter() - started
+    assert len(report.entries) == 5**4 - 1
+    assert all(entry.status is PeriodStatus.BROKEN for entry in report.entries)
+    assert report.ok
+    assert elapsed < 5.0
+
+
+PROPERTY_GROUPS = (
+    FreeAbelianOracle(1),
+    FreeAbelianOracle(2),
+    FreeGroupOracle(2),
+    GrigorchukOracle(),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def property_ball(group: int, radius: int):
+    return cayley_ball(PROPERTY_GROUPS[group], radius)
+
+
+@st.composite
+def product_colorings(draw):
+    """One to three colored balls of radius <= 2 over Z, Z², F₂, Grigorchuk."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        ball = property_ball(
+            draw(st.integers(0, len(PROPERTY_GROUPS) - 1)), draw(st.integers(0, 2))
+        )
+        k = draw(st.integers(1, 3))
+        colors = draw(
+            st.lists(st.integers(0, k - 1), min_size=len(ball), max_size=len(ball))
+        )
+        factors.append(ColoredBall(ball, dict(enumerate(colors)), k))
+    return ProductColoring(tuple(factors))
+
+
+@st.composite
+def period_cases(draw):
+    """A product coloring and a candidate whose components may leave the balls."""
+    coloring = draw(product_colorings())
+    components = []
+    for cb in coloring.factors:
+        gens = cb.ball.oracle.gens
+        moves = [s for s in gens.symbols if s != gens.identity]
+        word = draw(st.lists(st.sampled_from(moves), max_size=2 * cb.ball.radius + 1))
+        components.append(tuple(word))
+    assume(any(components))
+    return coloring, PeriodCandidate(tuple(components))
+
+
+def enumerated_status(coloring, g):
+    """The verdict read off every comparable product cell."""
+    comparisons = period_comparisons(coloring, g)
+    if not comparisons:
+        return PeriodStatus.UNDETERMINED
+    if all(comparisons.values()):
+        return PeriodStatus.RESPECTED
+    return PeriodStatus.BROKEN
+
+
+def _constant(radius):
+    ball = line_ball(radius)
+    return ColoredBall(ball, {h: 0 for h in range(len(ball))}, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(period_cases())
+@example((ProductColoring((_constant(2),)), PeriodCandidate((("x",),))))
+@example((ProductColoring((word_coloring(2),)), PeriodCandidate((("x",),))))
+@example(
+    (
+        ProductColoring((word_coloring(2), word_coloring(1))),
+        PeriodCandidate((("x",), ("x",) * 3)),
+    )
+)
+def test_factorwise_verdict_matches_product_enumeration(case):
+    coloring, g = case
+    assert detect_period(coloring, g) is enumerated_status(coloring, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_colorings(), st.integers(0, 2))
+@example(ProductColoring((word_coloring(2), _constant(2))), 1)
+def test_probe_entries_match_product_enumeration(coloring, length_limit):
+    report = product_aperiodicity_probe(coloring.factors, length_limit, 2)
+    for entry in report.entries:
+        components = entry.candidate.components
+        assert entry.status is enumerated_status(coloring, entry.candidate)
+        factor_broken = [
+            bool(comp)
+            and enumerated_status(ProductColoring((cb,)), PeriodCandidate((comp,)))
+            is PeriodStatus.BROKEN
+            for cb, comp in zip(coloring.factors, components)
+        ]
+        assert entry.broken_by == (
+            factor_broken.index(True) if any(factor_broken) else None
+        )
 
 
 def test_periodic_rows_of_small_line_shifts():

@@ -43,6 +43,12 @@ def test_check_patch_counts_the_forbidden_domino():
     violations = check_patch_nn(sft, row_patch("0110"))
     assert len(violations) == 1
     assert violations[0][:2] == ((1, 0), "h")
+    # Two allowed horizontal pairs; the last cell's right neighbour and
+    # all four upper neighbours lie outside the row.
+    assert (violations.satisfied, violations.unchecked) == (2, 5)
+    # A hole at either end of a pair leaves it unchecked.
+    holed = check_patch_nn(sft, Patch2D(0, 0, 3, 1, {(0, 0): "0", (2, 0): "1"}))
+    assert holed == [] and (holed.satisfied, holed.unchecked) == (0, 6)
 
 
 def test_single_cell_patch_has_no_adjacencies():
