@@ -29,6 +29,7 @@ from .grid import (
     ProductGridPatch,
     SeedFailure,
     _chains,
+    _walk_line,
     check_grid_local,
     grid_patch_from_descriptor,
     grid_patch_to_descriptor,
@@ -177,10 +178,13 @@ def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Vio
     Every maximal rightward run of each slice is scanned with decode
     windows of the largest power-of-three length that fits, at every
     offset; a window certified forbidden by the decoders or the oracles
-    is reported as (g, "row", (chain, column, offset)).  The counts of the
-    returned list cover the label and domino checks of every slice.
+    is reported as (g, "row", (chain, column, offset)).  The verdict
+    depends only on the window's symbols, so each distinct symbol tuple
+    is tested once per call.  The counts of the returned list cover the
+    label and domino checks of every slice.
     """
     violations = Violations()
+    forbidden = {}
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
         for k, gp in ((1, slc.patch1), (2, slc.patch2)):
@@ -204,10 +208,14 @@ def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Vio
                 depth += 1
             length = 3 ** (depth + 1)
             for h2 in range(len(slc.patch2.ball)):
+                row = tuple(y_slice[(h1, h2)] for h1 in chain)
                 for offset in range(len(chain) - length + 1):
-                    cells = chain[offset : offset + length]
-                    window = _layered(ctx, (patch.y_sym[(g, h1, h2)] for h1 in cells))
-                    verdict = top1d_forbidden(window, ctx.X, ctx.T, budget)
+                    symbols = row[offset : offset + length]
+                    verdict = forbidden.get(symbols)
+                    if verdict is None:
+                        window = _layered(ctx, symbols)
+                        verdict = top1d_forbidden(window, ctx.X, ctx.T, budget)
+                        forbidden[symbols] = verdict
                     if verdict is WindowVerdict.FORBIDDEN:
                         violations.append((g, "row", (ci, h2, offset)))
     return violations
@@ -408,34 +416,35 @@ def hat_phi_project(patch: FinalPatch, ctx: FactorContext, codec: SubshiftCodec)
 
     Every cell re-bases the read: the window starts at that cell of its
     own slice.  Cells whose window leaves the grid, fails to decode, or
-    decodes to bits outside the code table are marked Undetermined.
+    decodes to bits outside the code table are marked Undetermined; with
+    kappa 0 every cell is.  The cells that share a row cell share one walk
+    along the row, and each distinct symbol tuple is decoded once per call.
     """
     reverse = {bits: sym for sym, bits in codec.upsilon.items()}
     length = 3**ctx.kappa
+
+    def decode(symbols):
+        window = _layered(ctx, symbols)
+        try:
+            bits = gamma_prefix(window, ctx.T.identity, depth=ctx.kappa - 1)
+        except UndecodableWindow:
+            return UNDETERMINED
+        return reverse.get(bits, UNDETERMINED)
+
     projection = {}
-    if ctx.kappa <= 0:
-        for g in range(len(patch.g_ball)):
-            slc = patch.omega[g]
-            for h1 in range(len(slc.patch1.ball)):
-                for h2 in range(len(slc.patch2.ball)):
-                    projection[(g, h1, h2)] = UNDETERMINED
-        return projection
+    decoded = {}
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
-        y_slice = patch.y_slice(g)
         for h1 in range(len(slc.patch1.ball)):
+            line = _walk_line(slc.patch1, h1, 0, length) if ctx.kappa > 0 else None
             for h2 in range(len(slc.patch2.ball)):
-                row = read_grid(slc, y_slice, (h1, h2), (0, 0, length, 1))
-                if row is None:
+                if line is None:
                     projection[(g, h1, h2)] = UNDETERMINED
                     continue
-                window = _layered(ctx, (row.get(x, 0) for x in range(length)))
-                try:
-                    bits = gamma_prefix(window, ctx.T.identity, depth=ctx.kappa - 1)
-                except UndecodableWindow:
-                    projection[(g, h1, h2)] = UNDETERMINED
-                    continue
-                projection[(g, h1, h2)] = reverse.get(bits, UNDETERMINED)
+                symbols = tuple(patch.y_sym[(g, line[x], h2)] for x in range(length))
+                if symbols not in decoded:
+                    decoded[symbols] = decode(symbols)
+                projection[(g, h1, h2)] = decoded[symbols]
     return projection
 
 

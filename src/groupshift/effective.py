@@ -349,11 +349,6 @@ def rho_action_oracle(codec: SubshiftCodec, forbidden) -> RhoActionOracle:
     return RhoActionOracle(codec, forbidden)
 
 
-def trivial_action_oracle(set_oracle: SetOracle, generators, identity: str = "1") -> TrivialActionOracle:
-    """Wrap a set oracle as the oracle of the trivial action."""
-    return TrivialActionOracle(set_oracle, generators, identity)
-
-
 @dataclass(frozen=True, eq=False)
 class SubshiftSpec:
     """A group together with an alphabet and forbidden pattern codings."""

@@ -372,6 +372,26 @@ class MealyGroupOracle(GroupOracle):
     def canonical_key(self, word: Word):
         return self._key(self._state_word(word))
 
+    def is_identity(self, word: Word) -> bool:
+        """True when no word of the section closure swaps at the root.
+
+        The closure holds the section of the word at every vertex of the
+        tree, so the word acts trivially exactly when none of them swaps;
+        the walk stops at the first swap and needs no Moore refinement.
+        """
+        start = self._reduce(self._state_word(word))
+        closure = [start]
+        seen = {start}
+        for v in closure:
+            swapped, s0, s1 = self._sections(v)
+            if swapped:
+                return False
+            for s in (s0, s1):
+                if s not in seen:
+                    seen.add(s)
+                    closure.append(s)
+        return True
+
     def apply(self, word: Word, bits: str) -> str:
         return mealy_apply(self.automaton, self._state_word(word), bits)
 

@@ -120,14 +120,6 @@ def sft_from_descriptor(obj, path: str = "sft") -> NNSFT2D:
     return NNSFT2D(alphabet, pair_set("allowed_h"), pair_set("allowed_v"))
 
 
-def sft_to_descriptor(sft: NNSFT2D) -> dict:
-    return {
-        "alphabet": list(sft.alphabet.symbols),
-        "allowed_h": sorted([list(p) for p in sft.allowed_h]),
-        "allowed_v": sorted([list(p) for p in sft.allowed_v]),
-    }
-
-
 @dataclass
 class Patch2D:
     """A rectangular window of the plane; x grows right, y grows up.

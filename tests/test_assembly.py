@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groupshift import assembly
 from groupshift.assembly import (
     UNDETERMINED,
     FactorContext,
@@ -26,12 +31,12 @@ from groupshift.assembly import (
 )
 from groupshift.effective import (
     FullShiftSetOracle,
+    TrivialActionOracle,
     Verdict,
     make_codec,
     rho_action_oracle,
     rho_encode,
     rho_set_oracle,
-    trivial_action_oracle,
 )
 from groupshift.errors import (
     BallTooSmall,
@@ -44,11 +49,20 @@ from groupshift.grid import (
     GridLabel,
     GridPatch,
     ProductGridPatch,
+    _chains,
     from_translation_action,
+    read_grid,
 )
 from groupshift.groups import FreeAbelianOracle, cayley_ball
 from groupshift.shiftcore import Alphabet, Pattern, coding_from_pairs
-from groupshift.toeplitz import FILLER, psi_encode
+from groupshift.toeplitz import (
+    FILLER,
+    LayeredWord,
+    WindowVerdict,
+    gamma_prefix,
+    psi_encode,
+    top1d_forbidden,
+)
 
 ADJACENT_ONES = (coding_from_pairs([((), "1"), (("x",), "1")]),)
 
@@ -101,7 +115,7 @@ def golden_witness(radius1=10, radius2=2, g_radius=1, codec_radius=4):
 def test_layer_order_puts_identity_first():
     _, T, = (None, golden_setup()[0].T)
     assert action_layers(T) == ("1", "x", "x-")
-    trivial = trivial_action_oracle(FullShiftSetOracle(), ("a", "a-"))
+    trivial = TrivialActionOracle(FullShiftSetOracle(), ("a", "a-"))
     assert action_layers(trivial) == ("1", "a", "a-")
 
 
@@ -120,7 +134,7 @@ def test_record_shift_over_three_layers():
 
 def test_context_rejects_bad_block_maps():
     X = FullShiftSetOracle()
-    T = trivial_action_oracle(X, ("x", "x-"))
+    T = TrivialActionOracle(X, ("x", "x-"))
     sft, block_map = top_layer_sft(action_layers(T))
     incomplete = dict(block_map)
     del incomplete[FILLER * 3]
@@ -245,7 +259,7 @@ def test_slice_disagreement_is_column_wide():
 def test_layer_shift_mismatch_points_at_the_step():
     g_ball = line_ball(1)
     X = FullShiftSetOracle()
-    T = trivial_action_oracle(X, ("x", "x-"))
+    T = TrivialActionOracle(X, ("x", "x-"))
     ctx = standard_context(X, T, 0)
     single = GridPatch(line_ball(0), {0: GridLabel("x-", "x")})
     bar = ProductGridPatch(single, single)
@@ -260,7 +274,7 @@ def test_layer_shift_mismatch_points_at_the_step():
 def test_rebased_reads_must_agree():
     g_ball = line_ball(0)
     X = FullShiftSetOracle()
-    T = trivial_action_oracle(X, ("x", "x-"))
+    T = TrivialActionOracle(X, ("x", "x-"))
     ctx = standard_context(X, T, 1)
     ball1 = line_ball(4)
     ball2 = line_ball(1)
@@ -281,7 +295,7 @@ def test_rebased_reads_must_agree():
 
 def test_trivial_action_witness_checks_out():
     X = FullShiftSetOracle()
-    T = trivial_action_oracle(X, ("x", "x-"))
+    T = TrivialActionOracle(X, ("x", "x-"))
     ctx = standard_context(X, T, 1)
     g_ball = line_ball(1)
     shell = cayley_ball(g_ball.oracle, 2)
@@ -382,3 +396,152 @@ def test_descriptor_roundtrip():
     assert check_F1(back, ctx, budget=20_000) == []
     with pytest.raises(SchemaError):
         final_patch_from_descriptor({"group": desc["group"], "radius": 1})
+
+
+# Window-by-window references for the memoised checkers: every decode
+# window of F1 is tested afresh, and every cell of the projection reads
+# its own window with read_grid.
+
+
+def layered(ctx, symbols):
+    """Layered word of a run of symbols, read straight off the block map."""
+    records = [ctx.block_map[sym] for sym in symbols]
+    columns = {s: "".join(r[i] for r in records) for i, s in enumerate(ctx.layers)}
+    return LayeredWord(len(records), columns)
+
+
+def f1_windows(patch):
+    """(g, (chain, column, offset), symbols) for every window check_F1 scans."""
+    for g in range(len(patch.g_ball)):
+        slc = patch.omega[g]
+        try:
+            chains, _ = _chains(slc.patch1)
+        except CycleDetected:
+            continue
+        for ci, chain in enumerate(chains):
+            if len(chain) < 3:
+                continue
+            length = 3
+            while 3 * length <= len(chain):
+                length *= 3
+            for h2 in range(len(slc.patch2.ball)):
+                for offset in range(len(chain) - length + 1):
+                    cells = chain[offset : offset + length]
+                    yield g, (ci, h2, offset), tuple(patch.y_sym[(g, h1, h2)] for h1 in cells)
+
+
+def reference_F1_rows(patch, ctx, budget):
+    return [
+        (g, "row", where)
+        for g, where, symbols in f1_windows(patch)
+        if top1d_forbidden(layered(ctx, symbols), ctx.X, ctx.T, budget)
+        is WindowVerdict.FORBIDDEN
+    ]
+
+
+def projection_windows(patch, ctx):
+    """(cell, symbols) for every cell; symbols is None when the read leaves the grid."""
+    length = 3**ctx.kappa
+    for g in range(len(patch.g_ball)):
+        slc = patch.omega[g]
+        y_slice = patch.y_slice(g)
+        for h1 in range(len(slc.patch1.ball)):
+            for h2 in range(len(slc.patch2.ball)):
+                row = read_grid(slc, y_slice, (h1, h2), (0, 0, length, 1))
+                symbols = None if row is None else tuple(row.get(x, 0) for x in range(length))
+                yield (g, h1, h2), symbols
+
+
+def reference_projection(patch, ctx, codec):
+    reverse = {bits: sym for sym, bits in codec.upsilon.items()}
+    out = {}
+    for cell, symbols in projection_windows(patch, ctx):
+        out[cell] = UNDETERMINED
+        if symbols is not None:
+            try:
+                bits = gamma_prefix(layered(ctx, symbols), ctx.T.identity, depth=ctx.kappa - 1)
+            except UndecodableWindow:
+                continue
+            out[cell] = reverse.get(bits, UNDETERMINED)
+    return out
+
+
+def assert_checkers_match_references(patch, ctx, codec, budget=20_000):
+    rows = [v for v in check_F1(patch, ctx, budget) if v[1] == "row"]
+    assert rows == reference_F1_rows(patch, ctx, budget)
+    projection = hat_phi_project(patch, ctx, codec)
+    assert list(projection.items()) == list(reference_projection(patch, ctx, codec).items())
+    return rows, projection
+
+
+@functools.cache
+def shared_witness(radius1, radius2):
+    return golden_witness(radius1=radius1, radius2=radius2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_memoised_checkers_match_window_by_window_references(data):
+    # Short rows (radius 4) end inside F1's 9-window and the projection's
+    # 3-window, so their last cells are Undetermined.
+    patch, ctx, codec = shared_witness(*data.draw(st.sampled_from([(28, 1), (10, 2), (4, 1)])))
+    y, omega = dict(patch.y_sym), dict(patch.omega)
+    corruption = data.draw(st.sampled_from(["none", "record", "label"]))
+    if corruption == "record":
+        # Most records are wrong somewhere, so windows over them do not decode.
+        cell = data.draw(st.sampled_from(sorted(y)))
+        y[cell] = data.draw(st.sampled_from(sorted(ctx.block_map)))
+    elif corruption == "label":
+        # A relabelled cell can cut a row short or close a label cycle.
+        g = data.draw(st.sampled_from(sorted(omega)))
+        rows = omega[g].patch1
+        h = data.draw(st.integers(0, len(rows.ball) - 1))
+        symbols = st.sampled_from(rows.ball.oracle.gens.symbols)
+        labels = dict(rows.labels)
+        labels[h] = GridLabel(data.draw(symbols), data.draw(symbols))
+        omega[g] = ProductGridPatch(GridPatch(rows.ball, labels), omega[g].patch2)
+    assert_checkers_match_references(FinalPatch(patch.g_ball, omega, y), ctx, codec)
+
+
+def test_undecodable_windows_match_the_references():
+    patch, ctx, codec = shared_witness(28, 1)
+    ball1 = patch.omega[0].patch1.ball
+    y = dict(patch.y_sym)
+    y[(0, ball1.index[("x", "x")], 0)] = "111"  # bits where the coding has filler
+    rows, projection = assert_checkers_match_references(
+        FinalPatch(patch.g_ball, patch.omega, y), ctx, codec
+    )
+    assert rows
+    clean = hat_phi_project(patch, ctx, codec)
+    spoiled = [sym for cell, sym in projection.items() if sym != clean[cell]]
+    assert spoiled.count(UNDETERMINED) == 2
+
+
+def test_projection_at_kappa_zero_is_undetermined():
+    patch, ctx, codec = shared_witness(4, 1)
+    hat = hat_phi_project(patch, standard_context(ctx.X, ctx.T, 0), codec)
+    assert list(hat) == sorted(patch.y_sym)
+    assert all(sym is UNDETERMINED for sym in hat.values())
+
+
+def test_each_distinct_window_is_tested_once(monkeypatch):
+    # The acceptance suite's witness (build_witness): r = 28 row and column grids.
+    patch, ctx, codec = golden_witness(radius1=28, radius2=28)
+    windows = [symbols for _, _, symbols in f1_windows(patch)]
+    assert (len(windows), len(set(windows))) == (5301, 58)
+    cells = [symbols for _, symbols in projection_windows(patch, ctx) if symbols is not None]
+    assert (len(cells), len(set(cells))) == (9405, 16)
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(assembly, "top1d_forbidden", counted("F1", top1d_forbidden))
+    monkeypatch.setattr(assembly, "gamma_prefix", counted("project", gamma_prefix))
+    rows, projection = assert_checkers_match_references(patch, ctx, codec, budget=100_000)
+    assert rows == []
+    assert calls == {"F1": len(set(windows)), "project": len(set(cells))}

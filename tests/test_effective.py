@@ -10,6 +10,7 @@ import pytest
 from groupshift.effective import (
     EmptySetOracle,
     FullShiftSetOracle,
+    TrivialActionOracle,
     Verdict,
     make_codec,
     rho_action_oracle,
@@ -17,7 +18,6 @@ from groupshift.effective import (
     rho_encode,
     rho_set_oracle,
     subshift_from_descriptor,
-    trivial_action_oracle,
 )
 from groupshift.errors import IncompleteSupport, SchemaError, UnknownSymbol
 from groupshift.groups import FreeAbelianOracle
@@ -228,10 +228,10 @@ def test_action_oracle_is_monotone_in_budget():
 
 
 def test_trivial_action_oracle_examples():
-    full = trivial_action_oracle(FullShiftSetOracle(), ("x", "x-"))
+    full = TrivialActionOracle(FullShiftSetOracle(), ("x", "x-"))
     assert full.query("x", "01", "00", 100) is CE
     assert full.query("x", "0", "01", 100) is UNK
-    empty = trivial_action_oracle(EmptySetOracle(), ("x", "x-"))
+    empty = TrivialActionOracle(EmptySetOracle(), ("x", "x-"))
     assert empty.query("x", "0", "01", 100) is CE
     assert empty.query("1", "", "", 100) is CE
 

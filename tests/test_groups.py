@@ -417,6 +417,41 @@ def test_canonical_key_is_exact(name, data):
     assert (oracle.canonical_key(u) == oracle.canonical_key(v)) == same
 
 
+def grigorchuk_descriptor_oracle():
+    """The Grigorchuk machine as a `mealy` descriptor with two-state generators."""
+    machine = grigorchuk_automaton()
+    return group_from_descriptor(
+        {
+            "kind": "mealy",
+            "states": list(machine.states),
+            "transition": machine.transition,
+            "output": machine.output,
+            "generators": {"a": ["a"], "ab": ["a", "b"], "ba": ["b", "a"], "d": ["d"]},
+            "inverses": {"ab": "ba", "ba": "ab"},
+        }
+    )
+
+
+IDENTITY_ORACLES = {
+    "grigorchuk": GrigorchukOracle(),
+    "mealy-descriptor": grigorchuk_descriptor_oracle(),
+    "adding-machine": adding_machine(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_ORACLES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mealy_identity_walk_matches_the_canonical_key(name, data):
+    oracle = IDENTITY_ORACLES[name]
+    letters = st.sampled_from(oracle.gens.symbols)
+    u = tuple(data.draw(st.lists(letters, max_size=12)))
+    v = tuple(data.draw(st.lists(letters, max_size=3)))
+    # u·v·u⁻¹ is the identity exactly when v is, so both answers are common.
+    for w in (u, u + v + oracle.gens.word_inverse(u)):
+        assert oracle.is_identity(w) == (oracle.canonical_key(w) == oracle.canonical_key(()))
+
+
 def test_adding_machine_ball_is_a_segment_of_the_line():
     ball = cayley_ball(adding_machine(), 40)
     assert len(ball) == 81

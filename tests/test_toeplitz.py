@@ -10,10 +10,10 @@ import pytest
 from groupshift.effective import (
     EmptySetOracle,
     FullShiftSetOracle,
+    TrivialActionOracle,
     make_codec,
     rho_action_oracle,
     rho_set_oracle,
-    trivial_action_oracle,
 )
 from groupshift.errors import (
     BadLength,
@@ -209,7 +209,7 @@ def test_gamma_failure_modes():
 
 def test_blank_layer_is_forbidden():
     X = FullShiftSetOracle()
-    T = trivial_action_oracle(X, ("x", "x-"))
+    T = TrivialActionOracle(X, ("x", "x-"))
     enc = psi_encode("01", range(9))
     layered = LayeredWord(9, {"1": enc, "x": FILLER * 9, "x-": enc})
     assert top1d_forbidden(layered, X, T, 1000) is WindowVerdict.FORBIDDEN
@@ -217,21 +217,21 @@ def test_blank_layer_is_forbidden():
 
 def test_trivial_action_accepts_constant_layers():
     X = FullShiftSetOracle()
-    T = trivial_action_oracle(X, ("x", "x-"))
+    T = TrivialActionOracle(X, ("x", "x-"))
     layered = psi_tilde({s: "01" for s in ("1", "x", "x-")}, range(9))
     assert top1d_forbidden(layered, X, T, 1000) is WindowVerdict.NOT_CERTIFIED
 
 
 def test_trivial_action_rejects_mismatched_layers():
     X = FullShiftSetOracle()
-    T = trivial_action_oracle(X, ("x", "x-"))
+    T = TrivialActionOracle(X, ("x", "x-"))
     layered = psi_tilde({"1": "01", "x": "00", "x-": "01"}, range(9))
     assert top1d_forbidden(layered, X, T, 1000) is WindowVerdict.FORBIDDEN
 
 
 def test_empty_set_oracle_forbids_everything_decodable():
     X = EmptySetOracle()
-    T = trivial_action_oracle(X, ("x", "x-"))
+    T = TrivialActionOracle(X, ("x", "x-"))
     layered = psi_tilde({s: "01" for s in ("1", "x", "x-")}, range(9))
     assert top1d_forbidden(layered, X, T, 1000) is WindowVerdict.FORBIDDEN
 
