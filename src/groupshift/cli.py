@@ -8,8 +8,8 @@ check or a successful construction, 1 a reported violation or failure
 (the report is still written), and 2 a usage or schema problem.
 
 Reports are deterministic: keys are sorted, iteration orders are fixed,
-and the only randomized routine (the path-cover repair loop) draws all
-of its randomness from the --seed option of `grid cover`.
+and no routine is randomised.  `grid cover` still accepts --seed, which
+has no effect on its cover.
 """
 
 from __future__ import annotations
@@ -637,7 +637,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cover.add_argument("--group", required=True)
     cover.add_argument("--radius", type=int, required=True)
     cover.add_argument("--margin", type=int, default=2)
-    cover.add_argument("--seed", type=int, default=0, help="seed for the cover repair loop")
+    cover.add_argument("--seed", type=int, default=0, help="accepted; the cover is deterministic")
     cover.add_argument("--dot", help="write the derived grid as DOT when labels exist")
     seed_cmd = leaf(grid, "grid seed", _cmd_grid_seed,
                     help="spread a planar patch over a product ball")

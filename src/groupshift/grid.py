@@ -5,13 +5,13 @@ the right label repeatedly walks a discrete line through the group, so a
 labelled ball approximates a translation action of the integers.  Two
 labelled balls give a plane: stepping right in the first factor and in the
 second factor spans a grid along which configurations are read as planar
-patches.  A matching-based search produces the labellings from scratch by
-covering a ball with vertex-disjoint paths.
+patches.  The labellings are read off path covers of a ball, built
+deterministically from the edges of one generator pair.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -230,99 +230,64 @@ class PathCover:
 
 @dataclass(frozen=True, eq=False)
 class CoverFailure:
-    """Search failure report with the best partial cover found."""
+    """Why no generator pair yields a valid cover."""
 
     reason: str
-    partial: PathCover = None
 
 
-def _ball_graph(ball: CayleyBall) -> list:
-    edges = set()
-    for h in range(len(ball)):
-        for t in ball.neighbors(h):
-            edges.add((min(h, t), max(h, t)))
-    return sorted(edges)
+def _generator_pairs(gens) -> list:
+    """(s, s⁻¹) for each non-involution s, then each pair of involutions,
+    in generator order."""
+    moving = [s for s in gens.symbols if s != gens.identity]
+    inverse = gens.inverse
+    pairs = [(s, inverse[s]) for i, s in enumerate(moving) if inverse[s] in moving[i + 1 :]]
+    involutions = [s for s in moving if inverse[s] == s]
+    return pairs + list(itertools.combinations(involutions, 2))
 
 
-def path_cover_search(
-    ball: CayleyBall, margin: int, seed: int = 0, attempts: int = 60
-) -> PathCover:
+def path_cover_search(ball: CayleyBall, margin: int, seed: int = 0) -> PathCover:
     """Cover the deep part of a ball by vertex-disjoint simple paths.
 
     Every cell at distance ≤ radius − margin must end up in the interior
-    of a path; endpoints may only sit in the boundary shell.  The search
-    takes the union of two successive maximum-weight matchings (weights
-    favour saturating interior cells twice), which yields paths plus even
-    cycles, then repairs cycles by cutting boundary edges or exchanging a
-    pair of edges with another component.  Retries reshuffle the edge
-    order; returns a CoverFailure with the best partial cover if no
-    attempt succeeds.
+    of a path; endpoints may only sit in the boundary shell.  Each
+    generator pair — (s, s⁻¹) for a non-involution s, or two involutions —
+    gives every cell degree at most 2: its edges split the ball into the
+    pieces of the cosets of ⟨s⟩ or of the dihedral group the involutions
+    generate, so lines and cycles.  Cycles are cut at a boundary edge or
+    merged into another component by exchanging a pair of edges.  Pairs
+    are tried in generator order, non-involution pairs first, and the
+    first that validates is returned; otherwise a CoverFailure names the
+    first problem of the best pair.  The cover is deterministic: `seed`
+    is accepted and has no effect.
     """
     if margin < 1 or ball.radius < margin:
         raise BallTooSmall("need radius ≥ margin ≥ 1")
     interior_limit = ball.radius - margin
-    interior = {h for h in range(len(ball)) if ball.distance[h] <= interior_limit}
-    base_edges = _ball_graph(ball)
-    rng = random.Random(seed)
+    pairs = _generator_pairs(ball.oracle.gens)
+    if not pairs:
+        return CoverFailure(
+            "no valid cover: the group has no generator pair "
+            "(a non-involution or two involutions)"
+        )
     best = None
-    for attempt in range(attempts):
-        order = list(base_edges)
-        if attempt:
-            rng.shuffle(order)
-        adjacency, leftover = _two_matching(order, len(ball), interior)
-        missing = [h for h in interior if len(adjacency[h]) < 2]
-        if not missing:
-            adjacency, cycles = _repair_cycles(adjacency, order, ball, interior_limit)
-            if not cycles:
-                cover = _orient(adjacency, ball)
-                if not cover.validate(margin):
-                    return cover
-                missing = ["post-validation"]
-            else:
-                missing = [f"cycle of {len(cycles[0])}"]
-        score = len(missing)
-        if best is None or score < best[0]:
-            best = (score, adjacency)
-    partial = _orient(_drop_cycles(best[1]), ball)
+    for pair in pairs:
+        # A missing edge leaves the ball; a self-loop is a trivial generator.
+        adjacency = {h: {ball.edges.get((h, s), h) for s in pair} - {h} for h in range(len(ball))}
+        adjacency, cycles = _repair_cycles(adjacency, ball, interior_limit)
+        if cycles:
+            problems = [f"cycle of {len(cycle)} cells" for cycle in cycles]
+        else:
+            cover = _orient(adjacency, ball)
+            problems = cover.validate(margin)
+            if not problems:
+                return cover
+        if best is None or len(problems) < len(best[1]):
+            best = (pair, problems)
+    pair, problems = best
     return CoverFailure(
-        f"no valid cover in {attempts} attempts (last diagnosis: {best[0]} problems)",
-        partial,
+        f"no valid cover from {len(pairs)} generator pairs; the best, "
+        f"({pair[0]}, {pair[1]}), has {len(problems)} problems, first: {problems[0]}"
     )
-
-
-def _two_matching(order, count, interior):
-    """Union of two successive interior-saturating matchings."""
-    import networkx as nx  # only cover searches need it, and it is slow to import
-
-    big = count + 1
-
-    def weight(a, b):
-        return ((a in interior) + (b in interior)) * big + 1
-
-    graph = nx.Graph()
-    graph.add_nodes_from(range(count))
-    for a, b in order:
-        graph.add_edge(a, b, weight=weight(a, b))
-    first = nx.max_weight_matching(graph)
-    matched = {v for pair in first for v in pair}
-    need_more = interior & matched
-    used = {(min(x, y), max(x, y)) for x, y in first}
-
-    def weight2(a, b):
-        return ((a in need_more) + (b in need_more)) * big + 1
-
-    graph2 = nx.Graph()
-    graph2.add_nodes_from(range(count))
-    for a, b in order:
-        if (min(a, b), max(a, b)) in used:
-            continue
-        graph2.add_edge(a, b, weight=weight2(a, b))
-    second = nx.max_weight_matching(graph2)
-    adjacency = {h: set() for h in range(count)}
-    for a, b in list(first) + list(second):
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    return adjacency, None
 
 
 def _components(adjacency):
@@ -348,12 +313,8 @@ def _cycle_components(adjacency):
     return [c for c in _components(adjacency) if all(len(adjacency[v]) == 2 for v in c)]
 
 
-def _repair_cycles(adjacency, order, ball, interior_limit):
+def _repair_cycles(adjacency, ball, interior_limit):
     """Cut or merge cycle components until only paths remain."""
-    graph_adj = {h: set() for h in adjacency}
-    for a, b in order:
-        graph_adj[a].add(b)
-        graph_adj[b].add(a)
     guard = 0
     while True:
         cycles = _cycle_components(adjacency)
@@ -381,11 +342,11 @@ def _repair_cycles(adjacency, order, ball, interior_limit):
             adjacency[a].discard(b)
             adjacency[b].discard(a)
             continue
-        if not _two_opt(adjacency, graph_adj, cycle):
+        if not _two_opt(adjacency, ball, cycle):
             return adjacency, cycles
 
 
-def _two_opt(adjacency, graph_adj, cycle):
+def _two_opt(adjacency, ball, cycle):
     """Exchange one cycle edge with an edge of another component."""
     comp_of = {}
     for comp in _components(adjacency):
@@ -395,11 +356,11 @@ def _two_opt(adjacency, graph_adj, cycle):
     tag = comp_of[min(cycle)]
     for a in sorted(cycle):
         for b in sorted(adjacency[a]):
-            for c in sorted(graph_adj[a]):
+            for c in sorted(ball.neighbors(a)):
                 if comp_of.get(c, -1) == tag or not adjacency.get(c):
                     continue
                 for d in sorted(adjacency[c]):
-                    if d in graph_adj[b] and comp_of.get(d) == comp_of[c]:
+                    if d in ball.neighbors(b) and comp_of.get(d) == comp_of[c]:
                         adjacency[a].discard(b)
                         adjacency[b].discard(a)
                         adjacency[c].discard(d)
@@ -410,14 +371,6 @@ def _two_opt(adjacency, graph_adj, cycle):
                         adjacency[d].add(b)
                         return True
     return False
-
-
-def _drop_cycles(adjacency):
-    cleaned = {h: set(n) for h, n in adjacency.items()}
-    for cycle in _cycle_components(cleaned):
-        for v in cycle:
-            cleaned[v] = set()
-    return cleaned
 
 
 def _orient(adjacency, ball) -> PathCover:
@@ -619,8 +572,10 @@ def grid_patch_from_descriptor(obj, path: str = "grid") -> GridPatch:
         idx = ball.resolve(parse_word(text))
         if idx is None:
             raise SchemaError(f"{path}.labels[{text!r}]", "names a cell outside the ball")
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{path}.labels[{text!r}]", "expected [left, right]")
+        if not (
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
+        ):
+            raise SchemaError(f"{path}.labels[{text!r}]", "expected [left, right] symbols")
         labels[idx] = GridLabel(pair[0], pair[1])
     return GridPatch(ball, labels)
 

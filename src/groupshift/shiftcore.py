@@ -168,8 +168,10 @@ def patch_from_descriptor(obj, path: str = "patch") -> Patch2D:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     origin = obj.get("origin", [0, 0])
-    if not (isinstance(origin, list) and len(origin) == 2):
-        raise SchemaError(f"{path}.origin", "expected [x, y]")
+    if not (
+        isinstance(origin, list) and len(origin) == 2 and all(isinstance(v, int) for v in origin)
+    ):
+        raise SchemaError(f"{path}.origin", "expected [x, y] integers")
     rows = obj.get("rows")
     if not isinstance(rows, list) or not rows:
         raise SchemaError(f"{path}.rows", "expected a non-empty list of rows")

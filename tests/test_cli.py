@@ -299,6 +299,24 @@ def test_grid_cover_fails_on_order_two_group(tmp_path, capsys):
     assert "no valid cover" in report(out)["failure"]
 
 
+def test_grid_label_pair_must_hold_two_symbols(tmp_path, capsys):
+    grid = line_grid_descriptor(2)
+    grid["labels"][""] = [["x-"], "x"]
+    path = write(tmp_path, "grid.json", grid)
+    for argv in (["grid", "check", "--grid", path], ["grid", "trace", "--grid", path]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "grid.labels['']" in err
+
+
+def test_patch_origin_must_hold_two_integers(tmp_path, capsys):
+    sft = write(tmp_path, "sft.json", GOLDEN_SFT)
+    patch = write(tmp_path, "patch.json", {"origin": ["a", 0], "rows": [["1", "0"]]})
+    code, _, err = run_cli(capsys, ["nn", "check", "--sft", sft, "--patch", patch])
+    assert code == 2
+    assert "patch.origin" in err
+
+
 def test_grid_cover_line_feeds_grid_check(tmp_path, capsys):
     group = write(tmp_path, "z.json", Z)
     cover_path = tmp_path / "cover.json"
@@ -669,6 +687,24 @@ def test_cli_import_leaves_networkx_unloaded():
             sys.executable,
             "-c",
             "import groupshift.cli, sys; sys.exit('networkx' in sys.modules)",
+        ],
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    assert completed.returncode == 0
+
+
+def test_cover_search_leaves_networkx_unloaded():
+    src = os.path.dirname(os.path.dirname(groupshift.__file__))
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys\n"
+            "from groupshift.grid import path_cover_search\n"
+            "from groupshift.groups import GrigorchukOracle, cayley_ball\n"
+            "path_cover_search(cayley_ball(GrigorchukOracle(), 5), 2)\n"
+            "sys.exit('networkx' in sys.modules)",
         ],
         env={**os.environ, "PYTHONPATH": src},
         check=False,

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import groupshift.grid as grid
 from groupshift.errors import BallTooSmall, CycleDetected, DisplacementNotGenerator, SchemaError
 from groupshift.grid import (
     CoverFailure,
@@ -203,9 +204,126 @@ def test_order_two_group_has_no_cover():
     oracle = group_from_descriptor(descriptor)
     ball = cayley_ball(oracle, 2)
     assert len(ball) == 2
-    result = path_cover_search(ball, 1, attempts=5)
+    result = path_cover_search(ball, 1)
     assert isinstance(result, CoverFailure)
     assert "no valid cover" in result.reason
+    assert "no generator pair" in result.reason
+
+
+def test_cover_failure_names_the_pairs_tried_and_the_best_problem():
+    # Z/2 × Z/2 as two commuting involutions: the single pair closes a 4-cycle.
+    descriptor = {
+        "kind": "mealy",
+        "states": ["p", "q", "e"],
+        "transition": {
+            "p": {"0": "e", "1": "e"},
+            "q": {"0": "p", "1": "p"},
+            "e": {"0": "e", "1": "e"},
+        },
+        "output": {
+            "p": {"0": "1", "1": "0"},
+            "q": {"0": "0", "1": "1"},
+            "e": {"0": "0", "1": "1"},
+        },
+        "generators": {"s": ["p"], "t": ["q"]},
+    }
+    ball = cayley_ball(group_from_descriptor(descriptor), 2)
+    assert len(ball) == 4
+    result = path_cover_search(ball, 1)
+    assert isinstance(result, CoverFailure)
+    assert result.reason.startswith("no valid cover from 1 generator pairs")
+    assert "(s, t)" in result.reason
+    assert result.reason.endswith("first: cycle of 4 cells")
+
+
+GRIGORCHUK = {"kind": "grigorchuk"}
+GRIGORCHUK_BCDA = {
+    "kind": "mealy",
+    "states": ["a", "b", "c", "d", "e"],
+    "transition": {
+        "a": {"0": "e", "1": "e"},
+        "b": {"0": "a", "1": "c"},
+        "c": {"0": "a", "1": "d"},
+        "d": {"0": "e", "1": "b"},
+        "e": {"0": "e", "1": "e"},
+    },
+    "output": {
+        "a": {"0": "1", "1": "0"},
+        "b": {"0": "0", "1": "1"},
+        "c": {"0": "0", "1": "1"},
+        "d": {"0": "0", "1": "1"},
+        "e": {"0": "0", "1": "1"},
+    },
+    "generators": ["b", "c", "d", "a"],
+}
+
+
+def _walks_cleanly(ball, succ, pred, margin):
+    """Independent walker: generator edges, inverse maps, acyclic walks,
+    and both neighbours at every interior cell."""
+    oracle = ball.oracle
+    moving = [s for s in oracle.gens.symbols if s != oracle.gens.identity]
+    for forward, backward in ((succ, pred), (pred, succ)):
+        for h, t in forward.items():
+            if backward.get(t) != h:
+                return False
+            if not any(oracle.equals(ball.elements[h] + (s,), ball.elements[t]) for s in moving):
+                return False
+    walked = set()
+    for start in succ.keys() - pred.keys():
+        cur = start
+        while cur is not None:
+            walked.add(cur)
+            cur = succ.get(cur)
+    if not succ.keys() <= walked:
+        return False
+    return all(
+        h in succ and h in pred
+        for h in range(len(ball))
+        if ball.distance[h] <= ball.radius - margin
+    )
+
+
+@pytest.mark.parametrize(
+    "descriptor, radius",
+    [pytest.param(GRIGORCHUK, r, id=f"grigorchuk-{r}") for r in range(5, 13)]
+    + [
+        pytest.param({"kind": "free", "rank": 2}, 6, id="free2-6"),
+        pytest.param({"kind": "free_abelian", "rank": 2}, 20, id="z2-20"),
+        pytest.param(
+            {"kind": "product", "factors": [{"kind": "free_abelian", "rank": 1}, GRIGORCHUK]},
+            5,
+            id="z-by-grigorchuk-5",
+        ),
+        pytest.param(GRIGORCHUK_BCDA, 6, id="mealy-bcda-6"),
+    ],
+)
+def test_covers_pass_an_independent_walker(descriptor, radius):
+    margin = 2
+    ball = cayley_ball(group_from_descriptor(descriptor), radius)
+    cover = path_cover_search(ball, margin)
+    assert not isinstance(cover, CoverFailure), cover.reason
+    assert _walks_cleanly(ball, cover.succ, cover.pred, margin)
+    patch = from_translation_action(ball, cover.succ, cover.pred, within=radius - margin)
+    assert check_grid_local(patch).ok
+    for h in range(len(patch.ball)):
+        assert orbit_trace(patch, h).kind != "Cycle"
+    redirected = dict(cover.succ)
+    redirected[0] = next(u for u in ball.neighbors(0) if u != cover.succ[0])
+    assert not _walks_cleanly(ball, redirected, cover.pred, margin)
+
+
+def test_cover_search_moves_past_pairs_that_close_cycles(monkeypatch):
+    exchanges = []
+    original = grid._two_opt
+    monkeypatch.setattr(grid, "_two_opt", lambda *args: exchanges.append(1) or original(*args))
+    ball = cayley_ball(group_from_descriptor(GRIGORCHUK_BCDA), 5)
+    cover = path_cover_search(ball, 2)
+    assert not isinstance(cover, CoverFailure)
+    assert exchanges
+    # (b, c) and (b, d) generate Klein four-groups; the cover uses a.
+    patch = from_translation_action(ball, cover.succ, cover.pred, within=3)
+    assert "a" in {patch.label(h).right for h in range(len(patch.ball))}
 
 
 def test_interior_mutations_of_the_plane_patch_are_visible():
