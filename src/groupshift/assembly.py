@@ -420,7 +420,6 @@ def hat_phi_project(patch: FinalPatch, ctx: FactorContext, codec: SubshiftCodec)
     kappa 0 every cell is.  The cells that share a row cell share one walk
     along the row, and each distinct symbol tuple is decoded once per call.
     """
-    reverse = {bits: sym for sym, bits in codec.upsilon.items()}
     length = 3**ctx.kappa
 
     def decode(symbols):
@@ -429,7 +428,8 @@ def hat_phi_project(patch: FinalPatch, ctx: FactorContext, codec: SubshiftCodec)
             bits = gamma_prefix(window, ctx.T.identity, depth=ctx.kappa - 1)
         except UndecodableWindow:
             return UNDETERMINED
-        return reverse.get(bits, UNDETERMINED)
+        sym = codec.decode_block(bits)
+        return UNDETERMINED if sym is None else sym
 
     projection = {}
     decoded = {}

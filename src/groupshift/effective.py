@@ -8,6 +8,14 @@ cylinder-emptiness questions about binary words, answered by semi-decision
 procedures that may spend at most a caller-supplied number of primitive
 steps.  One step is one block decode, one address lookup, one block
 comparison, or one translated-coding test.
+
+The coded oracles look words up in the ball only to build address
+tables, lazily and once per oracle: the set oracle resolves every
+placement of each forbidden coding on its first coding scan, and the
+action oracle resolves the pairing by a generator on the first query
+with that generator.  Queries then read integer addresses.  Each test
+pass charges its steps to the budget at once, counted by the step model
+above, so verdicts and budget use are those of step-by-step charging.
 """
 
 from __future__ import annotations
@@ -50,6 +58,11 @@ class Budget:
         self.used = 0
 
     def spend(self, steps: int = 1) -> bool:
+        """Charge steps, or refuse and use up the budget if they do not fit.
+
+        Charging k steps at once leaves the same `used` as k charges of
+        one: either all fit, or the limit is reached and the call refuses.
+        """
         if self.used + steps > self.limit:
             self.used = self.limit
             return False
@@ -127,8 +140,9 @@ class SubshiftCodec:
 
     Address n is the n-th canonical ball element (shortlex, address 0 the
     identity); `upsilon` codes each alphabet symbol as a binary word of
-    length `kappa`.  Binary words are read in blocks of length kappa:
-    block n describes the symbol at address n.
+    length `kappa`, and `decoding` is its inverse, from code to symbol.
+    Binary words are read in blocks of length kappa: block n describes the
+    symbol at address n.
     """
 
     group: GroupOracle
@@ -136,6 +150,7 @@ class SubshiftCodec:
     alphabet: Alphabet
     kappa: int
     upsilon: dict
+    decoding: dict
 
     def enumeration(self, n: int) -> Word:
         if n < 0 or n >= len(self.ball):
@@ -149,10 +164,11 @@ class SubshiftCodec:
 
     def decode_block(self, block: str):
         """Symbol coded by a block, or None if the block codes nothing."""
-        for sym, code in self.upsilon.items():
-            if code == block:
-                return sym
-        return None
+        return self.decoding.get(block)
+
+    def decode_blocks(self, word: str) -> list:
+        """Symbol of each complete block of a word, None where it codes nothing."""
+        return list(map(self.decoding.get, self.blocks(word)))
 
 
 def make_codec(
@@ -170,7 +186,8 @@ def make_codec(
     size = len(alphabet)
     kappa = max(1, (size - 1).bit_length())
     upsilon = {sym: format(i, f"0{kappa}b") for i, sym in enumerate(alphabet.symbols)}
-    return SubshiftCodec(oracle, ball, alphabet, kappa, upsilon)
+    decoding = {code: sym for sym, code in upsilon.items()}
+    return SubshiftCodec(oracle, ball, alphabet, kappa, upsilon, decoding)
 
 
 def rho_encode(codec: SubshiftCodec, pattern: Pattern, last_address=None) -> str:
@@ -207,27 +224,24 @@ def rho_decode(codec: SubshiftCodec, word: str) -> dict:
     """Partial map address → symbol read off the complete blocks of a word.
 
     Blocks that code no symbol are skipped, as are addresses beyond the
-    ball; this is the raw inverse used by the oracles, not a validator.
+    ball; this is the raw inverse of rho_encode, reading words block by
+    block as the oracles do, not a validator.
     """
-    values = {}
-    for n, block in enumerate(codec.blocks(word)):
-        if n >= len(codec.ball):
-            break
-        sym = codec.decode_block(block)
-        if sym is not None:
-            values[n] = sym
-    return values
+    symbols = codec.decode_blocks(word)[: len(codec.ball)]
+    return {n: sym for n, sym in enumerate(symbols) if sym is not None}
 
 
-def _coding_occurs(ball: CayleyBall, values: dict, coding, base: Word) -> bool:
-    """Does a translated pattern coding occur inside a partial value map?"""
-    for h, sym in coding:
-        idx = ball.resolve(base + tuple(h))
-        if idx is None or idx not in values:
-            return False
-        if values[idx] != sym:
-            return False
-    return True
+def _first_occurrence(table: list, values: list):
+    """Position (from 1) of the first table row whose addresses all carry
+    the row's symbols in `values`, or None."""
+    for k, row in enumerate(table, 1):
+        if row is not None:
+            for n, sym in row:
+                if values[n] != sym:
+                    break
+            else:
+                return k
+    return None
 
 
 class RhoSetOracle(SetOracle):
@@ -237,37 +251,59 @@ class RhoSetOracle(SetOracle):
     no symbol, or (ii) the decoded partial pattern contains a forbidden
     coding translated by some ball element.  Ball addresses name distinct
     group elements, so no two blocks describe the same cell.
+
+    The first coding scan builds one occurrence table per forbidden coding:
+    row b, for the b-th ball element `base`, holds the pairs (address of
+    base·h, symbol) of the coding, or None when some base·h leaves the
+    ball.  The tables depend only on the codec and the codings, so later
+    queries resolve no words.  A pass charges what the step model charges:
+    one step per block decode, one per row up to the first row that occurs.
     """
 
     def __init__(self, codec: SubshiftCodec, forbidden):
         self.codec = codec
         self.forbidden = tuple(tuple(coding) for coding in forbidden)
+        self._occurrences = None
 
     def _query(self, word, budget):
-        verdict = self._reject_word(word, budget)
+        verdict = self._reject_word(self.codec.decode_blocks(word), budget)
         return verdict if verdict is not None else Verdict.UNKNOWN
 
-    def _reject_word(self, word, budget):
-        """CERTIFIED_EMPTY if some test fails within budget, else None."""
-        codec = self.codec
-        blocks = codec.blocks(word)
-        for block in blocks:
-            if not budget.spend():
-                return None
-            if codec.decode_block(block) is None:
-                return Verdict.CERTIFIED_EMPTY
-        limit = min(len(blocks), len(codec.ball))
-        values = {n: codec.decode_block(blocks[n]) for n in range(limit)}
-        return self._scan_codings(values, budget)
+    def _reject_word(self, symbols: list, budget):
+        """CERTIFIED_EMPTY if some test fails within budget, else None.
 
-    def _scan_codings(self, values: dict, budget):
-        codec = self.codec
-        for coding in self.forbidden:
-            for base in codec.ball.elements:
-                if not budget.spend():
-                    return None
-                if _coding_occurs(codec.ball, values, coding, base):
-                    return Verdict.CERTIFIED_EMPTY
+        `symbols` is the word decoded block by block (`decode_blocks`).
+        """
+        if None in symbols:
+            undecodable = symbols.index(None) + 1
+            return Verdict.CERTIFIED_EMPTY if budget.spend(undecodable) else None
+        if not budget.spend(len(symbols)):
+            return None
+        size = len(self.codec.ball)
+        return self._scan_codings(symbols[:size] + [None] * (size - len(symbols)), budget)
+
+    def _occurrence_tables(self) -> list:
+        if self._occurrences is None:
+            ball = self.codec.ball
+            tables = []
+            for coding in self.forbidden:
+                table = []
+                for base in ball.elements:
+                    row = tuple((ball.resolve(base + tuple(h)), sym) for h, sym in coding)
+                    table.append(None if any(n is None for n, _ in row) else row)
+                tables.append(table)
+            self._occurrences = tables
+        return self._occurrences
+
+    def _scan_codings(self, values: list, budget):
+        """Scan the codings over `values`, the symbol at each ball address
+        (None for no value)."""
+        for table in self._occurrence_tables():
+            found = _first_occurrence(table, values)
+            if not budget.spend(found or len(table)):
+                return None
+            if found:
+                return Verdict.CERTIFIED_EMPTY
         return None
 
 
@@ -279,6 +315,11 @@ class RhoActionOracle(ActionOracle):
     at address m, block n of v must equal block m of w.  The w-blocks are
     then carried over to their paired v-addresses and the merged partial
     pattern is scanned against the forbidden codings.
+
+    The first query with a given s builds its pairing table, the address
+    of s times each ball element (None outside the ball), and keeps it.
+    The pair pass charges one step per w-block looked up and one per block
+    comparison, up to the comparison that certifies.
     """
 
     def __init__(self, codec: SubshiftCodec, forbidden):
@@ -286,30 +327,43 @@ class RhoActionOracle(ActionOracle):
         self.set_oracle = RhoSetOracle(codec, forbidden)
         self.generators = codec.group.gens.symbols
         self.identity = codec.group.gens.identity
+        self._pairings: dict = {}
+
+    def _pairing(self, s: str) -> list:
+        if s not in self._pairings:
+            ball = self.codec.ball
+            self._pairings[s] = [ball.resolve((s,) + element) for element in ball.elements]
+        return self._pairings[s]
 
     def _query(self, s, v, w, budget):
-        for word in (v, w):
-            verdict = self.set_oracle._reject_word(word, budget)
+        codec = self.codec
+        symbols_v = codec.decode_blocks(v)
+        symbols_w = codec.decode_blocks(w)
+        for symbols in (symbols_v, symbols_w):
+            verdict = self.set_oracle._reject_word(symbols, budget)
             if verdict is not None:
                 return verdict
             if budget.exhausted:
                 return Verdict.UNKNOWN
-        codec = self.codec
-        blocks_v = codec.blocks(v)
-        blocks_w = codec.blocks(w)
-        merged = {n: codec.decode_block(b) for n, b in enumerate(blocks_v) if n < len(codec.ball)}
-        for m in range(min(len(blocks_w), len(codec.ball))):
-            if not budget.spend():
-                return Verdict.UNKNOWN
-            n = codec.ball.resolve((s,) + codec.enumeration(m))
+        # Both words decode completely, and decoding is one-to-one, so
+        # comparing symbols compares blocks.
+        size = len(codec.ball)
+        merged = symbols_v[:size] + [None] * (size - len(symbols_v))
+        pairing = self._pairing(s)
+        steps = 0
+        for m in range(min(len(symbols_w), size)):
+            steps += 1
+            n = pairing[m]
             if n is None:
                 continue
-            if n < len(blocks_v):
-                if not budget.spend():
-                    return Verdict.UNKNOWN
-                if blocks_v[n] != blocks_w[m]:
-                    return Verdict.CERTIFIED_EMPTY
-            merged.setdefault(n, codec.decode_block(blocks_w[m]))
+            if n < len(symbols_v):
+                steps += 1
+                if symbols_v[n] != symbols_w[m]:
+                    return Verdict.CERTIFIED_EMPTY if budget.spend(steps) else Verdict.UNKNOWN
+            else:
+                merged[n] = symbols_w[m]
+        if not budget.spend(steps):
+            return Verdict.UNKNOWN
         verdict = self.set_oracle._scan_codings(merged, budget)
         return verdict if verdict is not None else Verdict.UNKNOWN
 

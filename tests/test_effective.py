@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupshift.effective import (
+    Budget,
     EmptySetOracle,
     FullShiftSetOracle,
     TrivialActionOracle,
+    RhoActionOracle,
+    RhoSetOracle,
     Verdict,
     make_codec,
     rho_action_oracle,
@@ -20,7 +26,7 @@ from groupshift.effective import (
     subshift_from_descriptor,
 )
 from groupshift.errors import IncompleteSupport, SchemaError, UnknownSymbol
-from groupshift.groups import FreeAbelianOracle
+from groupshift.groups import CayleyBall, FreeAbelianOracle, FreeGroupOracle, GrigorchukOracle
 from groupshift.shiftcore import Alphabet, Pattern, coding_from_pairs
 
 CE = Verdict.CERTIFIED_EMPTY
@@ -266,3 +272,231 @@ def test_subshift_descriptor_errors():
                 "forbidden": [[["", "9"]]],
             }
         )
+
+
+# -- the table-driven oracles against the step-by-step model ----------------
+#
+# The references below spend one step at a time and look every word up in
+# the ball, as the cost model in the module docstring describes; the oracles
+# must agree with them on the verdict and on the budget used.
+
+
+def reference_decode(codec, block):
+    for sym, code in codec.upsilon.items():
+        if code == block:
+            return sym
+    return None
+
+
+def reference_coding_occurs(ball, values, coding, base):
+    for h, sym in coding:
+        idx = ball.resolve(base + tuple(h))
+        if idx is None or idx not in values:
+            return False
+        if values[idx] != sym:
+            return False
+    return True
+
+
+def reference_scan(codec, forbidden, values, budget):
+    for coding in forbidden:
+        for base in codec.ball.elements:
+            if not budget.spend():
+                return None
+            if reference_coding_occurs(codec.ball, values, coding, base):
+                return CE
+    return None
+
+
+def reference_reject_word(codec, forbidden, word, budget):
+    blocks = codec.blocks(word)
+    for block in blocks:
+        if not budget.spend():
+            return None
+        if reference_decode(codec, block) is None:
+            return CE
+    values = {n: reference_decode(codec, blocks[n]) for n in range(min(len(blocks), len(codec.ball)))}
+    return reference_scan(codec, forbidden, values, budget)
+
+
+def reference_set_query(codec, forbidden, word, budget):
+    return reference_reject_word(codec, forbidden, word, budget) or UNK
+
+
+def reference_action_query(codec, forbidden, s, v, w, budget):
+    for word in (v, w):
+        verdict = reference_reject_word(codec, forbidden, word, budget)
+        if verdict is not None:
+            return verdict
+        if budget.exhausted:
+            return UNK
+    blocks_v, blocks_w = codec.blocks(v), codec.blocks(w)
+    merged = {n: reference_decode(codec, b) for n, b in enumerate(blocks_v) if n < len(codec.ball)}
+    for m in range(min(len(blocks_w), len(codec.ball))):
+        if not budget.spend():
+            return UNK
+        n = codec.ball.resolve((s,) + codec.enumeration(m))
+        if n is None:
+            continue
+        if n < len(blocks_v):
+            if not budget.spend():
+                return UNK
+            if blocks_v[n] != blocks_w[m]:
+                return CE
+        merged.setdefault(n, reference_decode(codec, blocks_w[m]))
+    return reference_scan(codec, forbidden, merged, budget) or UNK
+
+
+SMALL_BALLS = {
+    "Z": (FreeAbelianOracle(1), 6),
+    "Z2": (FreeAbelianOracle(2), 3),
+    "F2": (FreeGroupOracle(2), 2),
+    "Grigorchuk": (GrigorchukOracle(), 4),
+}
+
+
+@functools.cache
+def small_codec(name, size):
+    oracle, radius = SMALL_BALLS[name]
+    return make_codec(oracle, Alphabet(tuple("abcde"[:size])), radius)
+
+
+def draw_blocks(data, codec, count):
+    # Codes that name no symbol exist for 3 and 5 symbols; keep them rare
+    # so that most words reach the coding scans.
+    codes = sorted(codec.upsilon.values())
+    spare = [format(i, f"0{codec.kappa}b") for i in range(len(codes), 2**codec.kappa)]
+    return data.draw(st.lists(st.sampled_from(codes * 12 + spare), min_size=count, max_size=count))
+
+
+def draw_word(data, codec, blocks):
+    """A word from its blocks and a trailing partial block."""
+    return "".join(blocks) + data.draw(st.text(alphabet="01", max_size=codec.kappa - 1))
+
+
+def draw_forbidden(data, codec):
+    gens = codec.group.gens.symbols
+    radius = codec.ball.radius
+    # Words one step longer than the radius put some placements outside the ball.
+    word = st.lists(st.sampled_from(gens), max_size=radius + 1).map(tuple)
+    pair = st.tuples(word, st.sampled_from(codec.alphabet.symbols))
+    codings = st.lists(st.lists(pair, min_size=1, max_size=3), max_size=2)
+    return tuple(coding_from_pairs(pairs) for pairs in data.draw(codings))
+
+
+def draw_action_words(data, codec):
+    """(s, v, w): v mostly carries w moved by s, with some blocks redrawn."""
+    s = data.draw(st.sampled_from(codec.group.gens.symbols))
+    size = len(codec.ball)
+    blocks_w = draw_blocks(data, codec, data.draw(st.integers(0, size + 3)))
+    blocks_v = draw_blocks(data, codec, data.draw(st.integers(0, size + 3)))
+    if data.draw(st.booleans()):
+        for m in range(min(len(blocks_w), size)):
+            n = codec.ball.resolve((s,) + codec.enumeration(m))
+            if n is not None and n < len(blocks_v):
+                blocks_v[n] = blocks_w[m]
+        for _ in range(data.draw(st.integers(0, 2))):
+            if blocks_v:
+                n = data.draw(st.integers(0, len(blocks_v) - 1))
+                blocks_v[n] = draw_blocks(data, codec, 1)[0]
+    return s, draw_word(data, codec, blocks_v), draw_word(data, codec, blocks_w)
+
+
+def assert_same_answer(data, query, reference):
+    """Equal verdicts and budget use at a budget from 0 to two past the full cost."""
+    full = Budget(10**9)
+    reference(full)
+    # Half of the budgets land within two steps of the full cost.
+    limit = data.draw(st.integers(0, full.used + 2) | st.integers(max(0, full.used - 2), full.used + 2))
+    mine, theirs = Budget(limit), Budget(limit)
+    assert (query(mine), mine.used) == (reference(theirs), theirs.used)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_oracles_match_the_step_by_step_model(data):
+    codec = small_codec(data.draw(st.sampled_from(sorted(SMALL_BALLS))), data.draw(st.sampled_from((2, 3, 5))))
+    forbidden = draw_forbidden(data, codec)
+    set_oracle, action_oracle = RhoSetOracle(codec, forbidden), RhoActionOracle(codec, forbidden)
+    # Several queries per oracle, so later ones read tables built earlier.
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            blocks = draw_blocks(data, codec, data.draw(st.integers(0, len(codec.ball) + 3)))
+            word = draw_word(data, codec, blocks)
+            assert_same_answer(
+                data,
+                lambda budget: set_oracle._query(word, budget),
+                lambda budget: reference_set_query(codec, forbidden, word, budget),
+            )
+        else:
+            s, v, w = draw_action_words(data, codec)
+            assert_same_answer(
+                data,
+                lambda budget: action_oracle._query(s, v, w, budget),
+                lambda budget: reference_action_query(codec, forbidden, s, v, w, budget),
+            )
+
+
+def test_charging_steps_at_once_equals_charging_them_one_by_one():
+    for limit in range(7):
+        for used in range(limit + 1):
+            for steps in range(9):
+                bulk, single = Budget(limit), Budget(limit)
+                bulk.used = single.used = used
+                granted = bulk.spend(steps)
+                results = [single.spend(1) for _ in range(steps)]
+                assert bulk.used == single.used
+                assert granted == all(results)
+
+
+def test_address_tables_are_built_once_per_oracle(monkeypatch):
+    calls = []
+    resolve = CayleyBall.resolve
+
+    def counted(ball, word):
+        calls.append(ball)
+        return resolve(ball, word)
+
+    monkeypatch.setattr(CayleyBall, "resolve", counted)
+    codec = golden_codec(4)
+    set_oracle = rho_set_oracle(codec, ADJACENT_ONES)
+    action_oracle = rho_action_oracle(codec, ADJACENT_ONES)
+    assert calls == []
+    assert set_oracle.query("0100", 1000) is UNK
+    assert calls
+    calls.clear()
+    assert set_oracle.query("0110", 1000) is UNK
+    assert set_oracle.query("0101", 1000) is CE
+    assert calls == []
+    assert action_oracle.query("x", "1", "1", 10_000) is CE
+    assert calls
+    calls.clear()
+    assert action_oracle.query("x", "0", "1", 10_000) is UNK
+    assert calls == []
+    # Another codec gets tables of its own.
+    wider = golden_codec(6)
+    x5_and_x6 = "0" * 9 + "101"  # beyond the radius-4 ball
+    assert rho_set_oracle(wider, ADJACENT_ONES).query(x5_and_x6, 1000) is CE
+    assert calls and all(ball is wider.ball for ball in calls)
+    assert set_oracle.query(x5_and_x6, 1000) is UNK
+
+
+@pytest.mark.parametrize("oracle, radius", [(FreeAbelianOracle(2), 8), (FreeGroupOracle(2), 4)])
+def test_whole_ball_action_pair_is_certified_within_a_linear_budget(oracle, radius):
+    # c has a 1 at the identity and at y·y only; v codes c moved by s, the
+    # block at s·identity is flipped, and the pair pass finds it first.
+    codec = make_codec(oracle, Alphabet(("0", "1")), radius)
+    ball, size = codec.ball, len(codec.ball)
+    ones = {0, ball.index[("y", "y")]}
+    w = "".join("1" if n in ones else "0" for n in range(size))
+    actions = rho_action_oracle(codec, ADJACENT_ONES)
+    for s in ("x", "y-"):
+        back = oracle.gens.word_inverse((s,))
+        v = "".join("1" if ball.resolve(back + ball.elements[n]) in ones else "0" for n in range(size))
+        k = ball.resolve((s,))
+        flipped = v[:k] + ("0" if v[k] == "1" else "1") + v[k + 1 :]
+        # Each word decoded and scanned once, each w-block paired and compared once.
+        linear = len(v) + len(w) + 2 * len(ADJACENT_ONES) * size + 2 * len(w)
+        assert actions.query(s, flipped, w, linear) is CE
+        assert actions.query(s, v, w, linear) is UNK
+        assert actions.query(s, v, w, 10**6) is UNK
