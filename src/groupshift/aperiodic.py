@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import GroupshiftError, ResourceLimit, SchemaError
-from .groups import CayleyBall, Word, cayley_ball, group_from_descriptor, parse_word
+from .groups import (
+    CayleyBall,
+    Word,
+    ball_from_descriptor,
+    ball_to_descriptor,
+    cells_from_words,
+    cells_to_words,
+)
 
 
 class PeriodStatus(Enum):
@@ -368,40 +375,17 @@ def z_sft_periodic_point(alphabet, allowed) -> str | None:
 
 
 def colored_ball_to_descriptor(cb: ColoredBall) -> dict:
-    colors = {
-        " ".join(cb.ball.elements[h]): cb.colors[h] for h in range(len(cb.ball))
-    }
-    return {
-        "group": cb.ball.oracle.descriptor,
-        "radius": cb.ball.radius,
-        "k": cb.k,
-        "colors": colors,
-    }
+    return {**ball_to_descriptor(cb.ball), "k": cb.k, "colors": cells_to_words(cb.ball, cb.colors)}
 
 
 def colored_ball_from_descriptor(obj, path: str = "coloring") -> ColoredBall:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    for key in ("group", "radius", "k", "colors"):
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing")
-    oracle = group_from_descriptor(obj["group"], f"{path}.group")
-    radius = obj["radius"]
-    if not isinstance(radius, int) or radius < 0:
-        raise SchemaError(f"{path}.radius", "expected a non-negative integer")
+    ball = ball_from_descriptor(obj, path, "k", "colors")
     k = obj["k"]
     if not isinstance(k, int) or k < 1:
         raise SchemaError(f"{path}.k", "expected a positive integer")
-    raw = obj["colors"]
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}.colors", "expected an object")
-    ball = cayley_ball(oracle, radius)
     colors = {}
-    for text, value in raw.items():
-        idx = ball.resolve(parse_word(text))
-        if idx is None:
-            raise SchemaError(f"{path}.colors[{text!r}]", "names a cell outside the ball")
+    for idx, value, where in cells_from_words(ball, obj["colors"], f"{path}.colors"):
         if not isinstance(value, int):
-            raise SchemaError(f"{path}.colors[{text!r}]", "expected an integer")
+            raise SchemaError(where, "expected an integer")
         colors[idx] = value
     return ColoredBall(ball, colors, k)

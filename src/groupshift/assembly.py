@@ -37,7 +37,15 @@ from .grid import (
     read_grid,
     seed_grid_from_config,
 )
-from .groups import CayleyBall, cayley_ball, group_from_descriptor, parse_word
+from .groups import (
+    CayleyBall,
+    ball_from_descriptor,
+    ball_to_descriptor,
+    cayley_ball,
+    cells_from_words,
+    cells_to_nested_words,
+    cells_to_words,
+)
 from .shiftcore import NNSFT2D, Alphabet, Pattern, Patch2D, Violations
 from .toeplitz import FILLER, LayeredWord, WindowVerdict, action_layers, gamma_prefix
 from .toeplitz import psi_tilde, top1d_forbidden
@@ -144,6 +152,11 @@ class FinalPatch:
         self.g_ball = g_ball
         self.omega = dict(omega)
         self.y_sym = dict(y_sym)
+
+    def cell_balls(self, key) -> tuple:
+        """The base ball and the two grid balls of a (g, h1, h2) cell."""
+        slc = self.omega[key[0]]
+        return (self.g_ball, slc.patch1.ball, slc.patch2.ball)
 
     def omega_at(self, g: int, h1: int, h2: int) -> tuple:
         slc = self.omega[g]
@@ -467,77 +480,35 @@ def projective_check(patch: FinalPatch, projection: dict, original: Pattern) -> 
 
 
 def final_patch_to_descriptor(patch: FinalPatch) -> dict:
-    def gtext(g):
-        return " ".join(patch.g_ball.elements[g])
-
-    omega = {}
-    records = {}
-    for g in range(len(patch.g_ball)):
-        slc = patch.omega[g]
-        omega[gtext(g)] = [
-            grid_patch_to_descriptor(slc.patch1),
-            grid_patch_to_descriptor(slc.patch2),
-        ]
-        ball1, ball2 = slc.patch1.ball, slc.patch2.ball
-        records[gtext(g)] = {
-            " ".join(ball1.elements[h1]): {
-                " ".join(ball2.elements[h2]): patch.y_sym[(g, h1, h2)]
-                for h2 in range(len(ball2))
-            }
-            for h1 in range(len(ball1))
-        }
+    omega = {
+        g: [grid_patch_to_descriptor(slc.patch1), grid_patch_to_descriptor(slc.patch2)]
+        for g, slc in patch.omega.items()
+    }
     return {
-        "group": patch.g_ball.oracle.descriptor,
-        "radius": patch.g_ball.radius,
-        "omega": omega,
-        "y": records,
+        **ball_to_descriptor(patch.g_ball),
+        "omega": cells_to_words(patch.g_ball, omega),
+        "y": cells_to_nested_words(patch.cell_balls, patch.y_sym),
     }
 
 
 def final_patch_from_descriptor(obj, path: str = "final") -> FinalPatch:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    for key in ("group", "radius", "omega", "y"):
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing")
-    oracle = group_from_descriptor(obj["group"], f"{path}.group")
-    radius = obj["radius"]
-    if not isinstance(radius, int) or radius < 0:
-        raise SchemaError(f"{path}.radius", "expected a non-negative integer")
-    g_ball = cayley_ball(oracle, radius)
-    raw_omega = obj["omega"]
-    raw_y = obj["y"]
-    if not isinstance(raw_omega, dict) or not isinstance(raw_y, dict):
-        raise SchemaError(f"{path}.omega", "expected objects for omega and y")
+    g_ball = ball_from_descriptor(obj, path, "omega", "y")
     omega = {}
-    for text, pair in raw_omega.items():
-        g = g_ball.resolve(parse_word(text))
-        if g is None:
-            raise SchemaError(f"{path}.omega[{text!r}]", "names a cell outside the ball")
+    for g, pair, where in cells_from_words(g_ball, obj["omega"], f"{path}.omega"):
         if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{path}.omega[{text!r}]", "expected [rows, columns]")
+            raise SchemaError(where, "expected [rows, columns]")
         omega[g] = ProductGridPatch(
-            grid_patch_from_descriptor(pair[0], f"{path}.omega[{text!r}][0]"),
-            grid_patch_from_descriptor(pair[1], f"{path}.omega[{text!r}][1]"),
+            grid_patch_from_descriptor(pair[0], f"{where}[0]"),
+            grid_patch_from_descriptor(pair[1], f"{where}[1]"),
         )
     y_sym = {}
-    for text, rows in raw_y.items():
-        g = g_ball.resolve(parse_word(text))
-        if g is None or g not in omega:
-            raise SchemaError(f"{path}.y[{text!r}]", "names a cell without a slice")
+    for g, rows, where in cells_from_words(g_ball, obj["y"], f"{path}.y"):
+        if g not in omega:
+            raise SchemaError(where, "names a cell without a slice")
         slc = omega[g]
-        if not isinstance(rows, dict):
-            raise SchemaError(f"{path}.y[{text!r}]", "expected an object")
-        for h1text, row in rows.items():
-            h1 = slc.patch1.ball.resolve(parse_word(h1text))
-            if h1 is None or not isinstance(row, dict):
-                raise SchemaError(f"{path}.y[{text!r}][{h1text!r}]", "bad row")
-            for h2text, sym in row.items():
-                h2 = slc.patch2.ball.resolve(parse_word(h2text))
-                if h2 is None:
-                    raise SchemaError(
-                        f"{path}.y[{text!r}][{h1text!r}][{h2text!r}]",
-                        "names a cell outside the column ball",
-                    )
+        for h1, row, row_where in cells_from_words(slc.patch1.ball, rows, where):
+            for h2, sym, cell_where in cells_from_words(slc.patch2.ball, row, row_where):
+                if not isinstance(sym, str):
+                    raise SchemaError(cell_where, "expected a symbol")
                 y_sym[(g, h1, h2)] = sym
     return FinalPatch(g_ball, omega, y_sym)

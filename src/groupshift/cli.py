@@ -68,7 +68,15 @@ from .grid import (
     path_cover_search,
     seed_grid_from_config,
 )
-from .groups import cayley_ball, format_word, group_from_descriptor, parse_word
+from .groups import (
+    cayley_ball,
+    cells_from_words,
+    cells_to_nested_words,
+    cells_to_words,
+    format_word,
+    group_from_descriptor,
+    parse_word,
+)
 from .shiftcore import (
     Pattern,
     check_patch_nn,
@@ -347,17 +355,11 @@ def _cmd_grid_cover(args):
     if isinstance(result, CoverFailure):
         return {"failure": result.reason}, 1, None
     problems = result.validate(args.margin)
-    payload = {
-        "problems": problems,
-        "succ": {
-            format_word(ball.elements[h]): format_word(ball.elements[t])
-            for h, t in sorted(result.succ.items())
-        },
-        "pred": {
-            format_word(ball.elements[h]): format_word(ball.elements[t])
-            for h, t in sorted(result.pred.items())
-        },
-    }
+
+    def steps(step):
+        return cells_to_words(ball, {h: format_word(ball.elements[t]) for h, t in step.items()})
+
+    payload = {"problems": problems, "succ": steps(result.succ), "pred": steps(result.pred)}
     try:
         derived = from_translation_action(ball, result.succ, result.pred)
     except DisplacementNotGenerator:
@@ -384,10 +386,7 @@ def _cmd_grid_seed(args):
         return {"failure": str(exc)}, 1, None
     if isinstance(result, SeedFailure):
         return {"failure": result.reason}, 1, None
-    table: dict = {}
-    for (h1, h2), sym in result.items():
-        row = table.setdefault(format_word(patch1.ball.elements[h1]), {})
-        row[format_word(patch2.ball.elements[h2])] = sym
+    table = cells_to_nested_words(lambda key: (patch1.ball, patch2.ball), result)
     return {"y": table}, 0, None
 
 
@@ -423,17 +422,11 @@ def _cmd_final_witness(args):
     oracle = group_from_descriptor(_load_json(args.group))
     g_ball = cayley_ball(oracle, args.radius)
     shell = cayley_ball(oracle, args.radius + 1)
-    raw = _load_json(args.prefixes)
-    if not isinstance(raw, dict):
-        raise SchemaError("prefixes", "expected an object of word -> bits")
     prefixes = {}
-    for text in sorted(raw):
-        index = shell.resolve(parse_word(text))
-        if index is None:
-            raise SchemaError(
-                f"prefixes[{text!r}]", "names an element outside the extended ball"
-            )
-        prefixes[shell.elements[index]] = raw[text]
+    for index, bits, where in cells_from_words(shell, _load_json(args.prefixes), "prefixes"):
+        if not isinstance(bits, str):
+            raise SchemaError(where, "expected a bit string")
+        prefixes[shell.elements[index]] = bits
     patch1 = _load_grid(args.grid1, "grid1")
     patch2 = _load_grid(args.grid2, "grid2")
     try:
@@ -466,30 +459,21 @@ def _cmd_final_project(args):
         _unwrap(_load_json(args.patch), "patch")
     )
     projection = hat_phi_project(patch, ctx, codec)
-    table: dict = {}
-    undetermined = 0
-    for (g, h1, h2), sym in projection.items():
-        slice_ = patch.omega[g]
-        g_text = format_word(patch.g_ball.elements[g])
-        h1_text = format_word(slice_.patch1.ball.elements[h1])
-        h2_text = format_word(slice_.patch2.ball.elements[h2])
-        if sym is UNDETERMINED:
-            sym = None
-            undetermined += 1
-        table.setdefault(g_text, {}).setdefault(h1_text, {})[h2_text] = sym
+    symbols = {key: None if sym is UNDETERMINED else sym for key, sym in projection.items()}
+    undetermined = sum(sym is None for sym in symbols.values())
     payload = {
-        "projection": table,
+        "projection": cells_to_nested_words(patch.cell_balls, symbols),
         "determined": len(projection) - undetermined,
         "undetermined": undetermined,
     }
     status = 0
     if args.pattern:
-        raw = _load_json(args.pattern)
-        if not isinstance(raw, dict):
-            raise SchemaError("pattern", "expected an object of word -> symbol")
-        pattern = Pattern.from_pairs(
-            [(parse_word(text), raw[text]) for text in sorted(raw)]
-        )
+        pairs = []
+        for g, sym, where in cells_from_words(patch.g_ball, _load_json(args.pattern), "pattern"):
+            if not isinstance(sym, str):
+                raise SchemaError(where, "expected a symbol")
+            pairs.append((patch.g_ball.elements[g], sym))
+        pattern = Pattern.from_pairs(pairs)
         matches = projective_check(patch, projection, pattern)
         payload["matches"] = matches
         status = 0 if matches else 1

@@ -220,17 +220,6 @@ def rho_encode(codec: SubshiftCodec, pattern: Pattern, last_address=None) -> str
     return "".join(out)
 
 
-def rho_decode(codec: SubshiftCodec, word: str) -> dict:
-    """Partial map address → symbol read off the complete blocks of a word.
-
-    Blocks that code no symbol are skipped, as are addresses beyond the
-    ball; this is the raw inverse of rho_encode, reading words block by
-    block as the oracles do, not a validator.
-    """
-    symbols = codec.decode_blocks(word)[: len(codec.ball)]
-    return {n: sym for n, sym in enumerate(symbols) if sym is not None}
-
-
 def _first_occurrence(table: list, values: list):
     """Position (from 1) of the first table row whose addresses all carry
     the row's symbols in `values`, or None."""

@@ -49,10 +49,6 @@ class CycleDetected(GroupshiftError):
     """A label patch meant to be cycle-free contains a cycle."""
 
 
-class DegenerateK(GroupshiftError):
-    """A block size below 1 was requested for higher-block recoding."""
-
-
 class IncompleteSupport(GroupshiftError):
     """A pattern is missing (or conflicts on) a required address."""
 

@@ -21,7 +21,13 @@ from .errors import (
     SchemaError,
     UnknownSymbol,
 )
-from .groups import CayleyBall, cayley_ball, group_from_descriptor, parse_word
+from .groups import (
+    CayleyBall,
+    ball_from_descriptor,
+    ball_to_descriptor,
+    cells_from_words,
+    cells_to_words,
+)
 from .shiftcore import NNSFT2D, Patch2D, check_patch_nn
 
 
@@ -542,40 +548,18 @@ def seed_grid_from_config(omega: ProductGridPatch, c: Patch2D, sft: NNSFT2D = No
 
 
 def grid_patch_to_descriptor(patch: GridPatch) -> dict:
-    labels = {
-        " ".join(patch.ball.elements[h]): [label.left, label.right]
-        for h, label in sorted(patch.labels.items())
-    }
-    return {
-        "group": patch.ball.oracle.descriptor,
-        "radius": patch.ball.radius,
-        "labels": labels,
-    }
+    labels = {h: [label.left, label.right] for h, label in patch.labels.items()}
+    return {**ball_to_descriptor(patch.ball), "labels": cells_to_words(patch.ball, labels)}
 
 
 def grid_patch_from_descriptor(obj, path: str = "grid") -> GridPatch:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    for key in ("group", "radius", "labels"):
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing")
-    oracle = group_from_descriptor(obj["group"], f"{path}.group")
-    radius = obj["radius"]
-    if not isinstance(radius, int) or radius < 0:
-        raise SchemaError(f"{path}.radius", "expected a non-negative integer")
-    ball = cayley_ball(oracle, radius)
-    raw = obj["labels"]
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}.labels", "expected an object")
+    ball = ball_from_descriptor(obj, path, "labels")
     labels = {}
-    for text, pair in raw.items():
-        idx = ball.resolve(parse_word(text))
-        if idx is None:
-            raise SchemaError(f"{path}.labels[{text!r}]", "names a cell outside the ball")
+    for idx, pair, where in cells_from_words(ball, obj["labels"], f"{path}.labels"):
         if not (
             isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
         ):
-            raise SchemaError(f"{path}.labels[{text!r}]", "expected [left, right] symbols")
+            raise SchemaError(where, "expected [left, right] symbols")
         labels[idx] = GridLabel(pair[0], pair[1])
     return GridPatch(ball, labels)
 

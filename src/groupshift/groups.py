@@ -634,3 +634,62 @@ def group_from_descriptor(obj, path: str = "group") -> GroupOracle:
             ]
         )
     raise SchemaError(f"{path}.kind", f"unknown group kind {kind!r}")
+
+
+# Ball-keyed descriptors: an object {"group": …, "radius": n, …} names a
+# Cayley ball, and its patterns are JSON maps from words to values.  A key
+# may be any word naming a cell of the ball; keys are written back as the
+# cell's canonical word, and two keys naming one cell are an error.
+
+
+def ball_from_descriptor(obj, path: str, *fields) -> CayleyBall:
+    """The ball of a descriptor object that must also carry `fields`."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected an object")
+    for key in ("group", "radius", *fields):
+        if key not in obj:
+            raise SchemaError(f"{path}.{key}", "missing")
+    oracle = group_from_descriptor(obj["group"], f"{path}.group")
+    radius = obj["radius"]
+    if not isinstance(radius, int) or radius < 0:
+        raise SchemaError(f"{path}.radius", "expected a non-negative integer")
+    return cayley_ball(oracle, radius)
+
+
+def ball_to_descriptor(ball: CayleyBall) -> dict:
+    return {"group": ball.oracle.descriptor, "radius": ball.radius}
+
+
+def cells_from_words(ball: CayleyBall, raw, path: str):
+    """Yield (cell index, value, field path) for each entry of a word-keyed
+    map; the field path quotes the key as written."""
+    if not isinstance(raw, dict):
+        raise SchemaError(path, "expected an object")
+    named: dict[int, str] = {}
+    for text, value in raw.items():
+        where = f"{path}[{text!r}]"
+        idx = ball.resolve(parse_word(text))
+        if idx is None:
+            raise SchemaError(where, "names a cell outside the ball")
+        if idx in named:
+            raise SchemaError(where, f"names the same cell as {named[idx]!r}")
+        named[idx] = text
+        yield idx, value, where
+
+
+def cells_to_words(ball: CayleyBall, values: dict) -> dict:
+    """{canonical word: value} for a map from cell indices."""
+    return {format_word(ball.elements[h]): value for h, value in values.items()}
+
+
+def cells_to_nested_words(balls, values: dict) -> dict:
+    """{word: {word: … value}} for a map from index tuples of a product
+    ball; `balls(key)` gives the factor balls the key's indices belong to."""
+    table: dict = {}
+    for key, value in values.items():
+        node = table
+        words = [format_word(ball.elements[h]) for ball, h in zip(balls(key), key)]
+        for word in words[:-1]:
+            node = node.setdefault(word, {})
+        node[words[-1]] = value
+    return table

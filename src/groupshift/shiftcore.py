@@ -1,4 +1,4 @@
-"""Patterns, nearest-neighbour planar SFTs, recoding, and patch search.
+"""Patterns, nearest-neighbour planar SFTs, and patch search.
 
 Two pattern flavours live here: patterns over a group ball (supports are
 canonical words, used by the effective-set machinery) and finite rectangular
@@ -15,7 +15,6 @@ from typing import Iterable, Optional
 
 from .errors import (
     AlphabetMismatch,
-    DegenerateK,
     OutOfBall,
     ResourceLimit,
     SchemaError,
@@ -229,78 +228,6 @@ def check_patch_nn(sft: NNSFT2D, patch: Patch2D) -> Violations:
             else:
                 violations.append(((x, y), axis, a, b))
     return violations
-
-
-def _block_admissible(block, forbidden, k: int) -> bool:
-    # block[dx][dy]; a forbidden pattern occurs if some translate of its
-    # support fits fully inside the k-square and matches.
-    for pattern in forbidden:
-        support = list(pattern)
-        max_x = max(dx for dx, _ in support)
-        max_y = max(dy for _, dy in support)
-        for ox in range(k - max_x):
-            for oy in range(k - max_y):
-                if all(block[ox + dx][oy + dy] == pattern[(dx, dy)] for dx, dy in support):
-                    return False
-    return True
-
-
-def higher_block_recode(alphabet: Alphabet, forbidden, k: int):
-    """Recode forbidden k-square patterns into a nearest-neighbour SFT.
-
-    `forbidden` is an iterable of {(col, row): symbol} mappings with supports
-    inside {0..k-1}^2.  Returns the block SFT and the 1-block factor map
-    (block -> its (0,0) cell).  For k = 1 the symbols stay as they are.
-    """
-    if k < 1:
-        raise DegenerateK(str(k))
-    forbidden = [dict(p) for p in forbidden]
-    for pattern in forbidden:
-        if not pattern:
-            raise ValueError("empty forbidden pattern forbids everything")
-        for (dx, dy), sym in pattern.items():
-            if not (0 <= dx < k and 0 <= dy < k):
-                raise ValueError("forbidden support leaves the k-square")
-            if sym not in alphabet:
-                raise AlphabetMismatch(repr(sym))
-
-    if k == 1:
-        rejected = {next(iter(p.values())) for p in forbidden if len(p) == 1}
-        symbols = tuple(s for s in alphabet.symbols if s not in rejected)
-        new_alphabet = Alphabet(symbols)
-        pairs = frozenset(itertools.product(symbols, repeat=2))
-        return NNSFT2D(new_alphabet, pairs, pairs), {s: s for s in symbols}
-
-    blocks = []
-    for flat in itertools.product(alphabet.symbols, repeat=k * k):
-        block = tuple(tuple(flat[dx * k + dy] for dy in range(k)) for dx in range(k))
-        if _block_admissible(block, forbidden, k):
-            blocks.append(block)
-    allowed_h = frozenset(
-        (b, c) for b in blocks for c in blocks if b[1:] == c[:-1]
-    )
-    allowed_v = frozenset(
-        (b, c)
-        for b in blocks
-        for c in blocks
-        if all(b[dx][1:] == c[dx][:-1] for dx in range(k))
-    )
-    block_map = {b: b[0][0] for b in blocks}
-    return NNSFT2D(Alphabet(tuple(blocks)), allowed_h, allowed_v), block_map
-
-
-def recode_patch(patch: Patch2D, k: int) -> Patch2D:
-    """Slide a k-square window over a total patch, producing the block image."""
-    if patch.width < k or patch.height < k:
-        raise ValueError("patch too small to recode")
-    cells = {}
-    for x in range(patch.x0, patch.x0 + patch.width - k + 1):
-        for y in range(patch.y0, patch.y0 + patch.height - k + 1):
-            block = tuple(
-                tuple(patch.get(x + dx, y + dy) for dy in range(k)) for dx in range(k)
-            )
-            cells[(x, y)] = block if k > 1 else block[0][0]
-    return Patch2D(patch.x0, patch.y0, patch.width - k + 1, patch.height - k + 1, cells)
 
 
 def _candidates(sft: NNSFT2D, cells: dict, x: int, y: int, patch: Patch2D) -> list:

@@ -171,20 +171,6 @@ class LayeredWord:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DecodedPrefix:
-    """Per-generator bit-prefixes of a common length."""
-
-    words: dict
-
-    def __post_init__(self):
-        lengths = {len(w) for w in self.words.values()}
-        if len(lengths) > 1:
-            raise BadLength("decoded prefixes must share one length")
-        for word in self.words.values():
-            _check_binary(word)
-
-
 def psi_tilde(prefixes: dict, positions) -> LayeredWord:
     """Layered encoding: layer s spreads the caller-supplied prefix for s.
 

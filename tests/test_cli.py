@@ -7,8 +7,19 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import groupshift
-from groupshift.assembly import final_patch_from_descriptor, standard_context
+from groupshift.aperiodic import (
+    ColoredBall,
+    colored_ball_from_descriptor,
+    colored_ball_to_descriptor,
+)
+from groupshift.assembly import (
+    final_patch_from_descriptor,
+    final_patch_to_descriptor,
+    standard_context,
+)
 from groupshift.cli import main
 from groupshift.effective import (
     make_codec,
@@ -16,11 +27,13 @@ from groupshift.effective import (
     rho_set_oracle,
     subshift_from_descriptor,
 )
+from groupshift.errors import SchemaError
 from groupshift.grid import (
     GridLabel,
     GridPatch,
     check_grid_local,
     from_translation_action,
+    grid_patch_from_descriptor,
     grid_patch_to_descriptor,
     grid_y_check,
 )
@@ -619,6 +632,177 @@ def test_aperiodic_color_two_colors_fail(tmp_path, capsys):
     )
     assert code == 1
     assert "failure" in report(out)
+
+
+# ---------------------------------------------------------------------------
+# ball-keyed descriptors
+
+
+@pytest.fixture(scope="module")
+def final_files(tmp_path_factory):
+    return final_fixture(tmp_path_factory.mktemp("final"))
+
+
+def _final_doc(files):
+    return json.loads(open(files[1], encoding="utf-8").read())["patch"]
+
+
+def _round_trip(from_descriptor, to_descriptor):
+    def read(doc, tmp_path, capsys, files):
+        return to_descriptor(from_descriptor(doc))
+
+    return read
+
+
+def _read_cli(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    if code == 2:
+        raise SchemaError("stderr", err)
+    return code, report(out)
+
+
+def _witness_from_prefixes(doc, tmp_path, capsys, files):
+    grid1 = write(tmp_path, "grid1.json", line_grid_descriptor(10))
+    grid2 = write(tmp_path, "grid2.json", line_grid_descriptor(2))
+    argv = ["final", "witness", "--ctx", files[0], "--group", write(tmp_path, "z.json", Z),
+            "--radius", "1", "--prefixes", write(tmp_path, "prefixes.json", doc),
+            "--grid1", grid1, "--grid2", grid2]
+    return _read_cli(capsys, argv)
+
+
+def _project_against(doc, tmp_path, capsys, files):
+    argv = ["final", "project", "--ctx", files[0], "--patch", files[1],
+            "--pattern", write(tmp_path, "pattern.json", doc)]
+    code, obj = _read_cli(capsys, argv)
+    return code, obj["matches"]
+
+
+def _coloring_doc(files):
+    ball = cayley_ball(FreeAbelianOracle(1), 2)
+    return colored_ball_to_descriptor(ColoredBall(ball, {h: h % 3 for h in range(len(ball))}, 3))
+
+
+_final_round_trip = _round_trip(final_patch_from_descriptor, final_patch_to_descriptor)
+
+# name: (valid document, keys from the document down to the word-keyed map, reader)
+BALL_KEYED_READERS = {
+    "grid labels": (
+        lambda files: line_grid_descriptor(2),
+        ("labels",),
+        _round_trip(grid_patch_from_descriptor, grid_patch_to_descriptor),
+    ),
+    "colours": (
+        _coloring_doc,
+        ("colors",),
+        _round_trip(colored_ball_from_descriptor, colored_ball_to_descriptor),
+    ),
+    "final omega": (_final_doc, ("omega",), _final_round_trip),
+    "final y": (_final_doc, ("y",), _final_round_trip),
+    "final y row": (_final_doc, ("y", ""), _final_round_trip),
+    "final y cell": (_final_doc, ("y", "", ""), _final_round_trip),
+    "--prefixes": (lambda files: parity_prefixes(), (), _witness_from_prefixes),
+    "--pattern": (lambda files: {"": "0", "x": "1", "x-": "1"}, (), _project_against),
+}
+
+FAR = " ".join(["x"] * 40)
+
+
+def _word_map(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+def _not_an_object(doc, keys):
+    if not keys:
+        return [doc]
+    _word_map(doc, keys[:-1])[keys[-1]] = [_word_map(doc, keys)]
+    return doc
+
+
+def _outside(doc, keys):
+    cells = _word_map(doc, keys)
+    cells[FAR] = cells["x"]
+    return doc
+
+
+def _duplicate(doc, keys):
+    cells = _word_map(doc, keys)
+    cells["x x x-"] = cells["x"]
+    return doc
+
+
+@pytest.mark.parametrize("reader", BALL_KEYED_READERS)
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_outside, f"[{FAR!r}]: names a cell outside the ball"),
+        (_not_an_object, ": expected an object"),
+        (_duplicate, "['x x x-']: names the same cell as 'x'"),
+    ],
+    ids=["outside", "not-an-object", "duplicate"],
+)
+def test_ball_keyed_readers_reject_bad_maps(
+    reader, corrupt, message, final_files, tmp_path, capsys
+):
+    make, keys, read = BALL_KEYED_READERS[reader]
+    with pytest.raises(SchemaError) as info:
+        read(corrupt(make(final_files), keys), tmp_path, capsys, final_files)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("reader", BALL_KEYED_READERS)
+@pytest.mark.parametrize("word, alias", [("x", "x x x-"), ("", "x x-")])
+def test_ball_keyed_readers_write_canonical_words(
+    reader, word, alias, final_files, tmp_path, capsys
+):
+    make, keys, read = BALL_KEYED_READERS[reader]
+    doc = make(final_files)
+    expected = read(make(final_files), tmp_path, capsys, final_files)
+    cells = _word_map(doc, keys)
+    cells[alias] = cells.pop(word)
+    assert read(doc, tmp_path, capsys, final_files) == expected
+
+
+def test_wrong_value_types_exit_two(tmp_path, capsys):
+    ctx, witness = final_fixture(tmp_path)
+    grid = line_grid_descriptor(2)
+    grid["labels"]["x"] = "x"
+    grid = write(tmp_path, "bad_grid.json", grid)
+    final = json.loads((tmp_path / "witness.json").read_text(encoding="utf-8"))
+    final["patch"]["y"][""]["x"][""] = ["111"]
+    final = write(tmp_path, "bad_final.json", final)
+    coloring = _coloring_doc(None)
+    coloring["colors"]["x"] = "1"
+    coloring = write(tmp_path, "bad_coloring.json", coloring)
+    prefixes = parity_prefixes()
+    prefixes["x"] = 5
+    prefixes = write(tmp_path, "bad_prefixes.json", prefixes)
+    pattern = write(tmp_path, "bad_pattern.json", {"": 0})
+    line = write(tmp_path, "line.json", line_grid_descriptor(2))
+    config = write(tmp_path, "config.json", {"origin": [-2, -2], "rows": [["0"] * 5] * 5})
+    group = write(tmp_path, "z.json", Z)
+    for argv, where in (
+        (["grid", "check", "--grid", grid], "grid.labels['x']"),
+        (["grid", "trace", "--grid", grid], "grid.labels['x']"),
+        (["grid", "seed", "--grid1", grid, "--grid2", line, "--config", config],
+         "grid1.labels['x']"),
+        (["final", "witness", "--ctx", ctx, "--group", group, "--radius", "1",
+          "--prefixes", prefixes, "--grid1", line, "--grid2", line], "prefixes['x']"),
+        (["final", "check", "--ctx", ctx, "--patch", final], "final.y['']['x']['']"),
+        (["final", "phi", "--ctx", ctx, "--patch", final, "--depth", "1"],
+         "final.y['']['x']['']"),
+        (["final", "project", "--ctx", ctx, "--patch", final], "final.y['']['x']['']"),
+        (["final", "project", "--ctx", ctx, "--patch", witness, "--pattern", pattern],
+         "pattern['']"),
+        (["aperiodic", "verify", "--coloring", coloring, "--maxlen", "2"],
+         "coloring.colors['x']"),
+        (["aperiodic", "probe", "--coloring", coloring, "--length-limit", "1",
+          "--square-length", "2"], "coloring[0].colors['x']"),
+    ):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith(f"error: {where}: expected"), err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Planar patches, recoding, extension search, and ball patterns."""
+"""Planar patches, extension search, and ball patterns."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from groupshift.errors import AlphabetMismatch, DegenerateK, OutOfBall
+from groupshift.errors import AlphabetMismatch, OutOfBall
 from groupshift.groups import FreeAbelianOracle, cayley_ball, parse_word
 from groupshift.shiftcore import (
     Alphabet,
@@ -16,12 +16,10 @@ from groupshift.shiftcore import (
     Pattern,
     check_patch_nn,
     full_shift,
-    higher_block_recode,
     patch_extension_search,
     patch_from_descriptor,
     patch_to_descriptor,
     pattern_occurs,
-    recode_patch,
     sft_from_descriptor,
 )
 
@@ -77,52 +75,6 @@ def test_check_patch_rejects_foreign_symbols():
     sft = golden_mean_sft()
     with pytest.raises(AlphabetMismatch):
         check_patch_nn(sft, row_patch("02"))
-
-
-def test_recode_rejects_degenerate_block_size():
-    with pytest.raises(DegenerateK):
-        higher_block_recode(Alphabet(("0", "1")), [], 0)
-
-
-def test_recode_block_counts():
-    alphabet = Alphabet(("0", "1"))
-    # No forbidden patterns: all 2x2 blocks survive.
-    sft, block_map = higher_block_recode(alphabet, [], 2)
-    assert len(sft.alphabet) == 16
-    # Forbid the all-"1" square: one block is rejected.
-    square = {(0, 0): "1", (1, 0): "1", (0, 1): "1", (1, 1): "1"}
-    sft, block_map = higher_block_recode(alphabet, [square], 2)
-    assert len(sft.alphabet) == 15
-    assert all(block_map[b] == b[0][0] for b in sft.alphabet.symbols)
-
-
-def test_recode_k1_keeps_symbols():
-    alphabet = Alphabet(("0", "1", "2"))
-    sft, block_map = higher_block_recode(alphabet, [{(0, 0): "2"}], 1)
-    assert sft.alphabet.symbols == ("0", "1")
-    assert block_map == {"0": "0", "1": "1"}
-
-
-def test_recode_agrees_with_direct_checking_on_3x3_patches():
-    # A 3x3 patch is admissible iff its 2-block image is a valid patch of
-    # the recoded SFT (all blocks in the new alphabet, no domino violations).
-    alphabet = Alphabet(("0", "1"))
-    horizontal_11 = {(0, 0): "1", (1, 0): "1"}
-    recoded, _ = higher_block_recode(alphabet, [horizontal_11], 2)
-    for assignment in itertools.product("01", repeat=9):
-        cells = {(i % 3, i // 3): assignment[i] for i in range(9)}
-        patch = Patch2D(0, 0, 3, 3, cells)
-        admissible = all(
-            not (cells[(x, y)] == "1" and cells[(x + 1, y)] == "1")
-            for x in range(2)
-            for y in range(3)
-        )
-        image = recode_patch(patch, 2)
-        in_alphabet = all(v in recoded.alphabet for v in image.cells.values())
-        if not in_alphabet:
-            assert not admissible
-            continue
-        assert admissible == (not check_patch_nn(recoded, image))
 
 
 def test_extension_search_fills_full_shift_with_first_symbol():

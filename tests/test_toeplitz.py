@@ -25,7 +25,6 @@ from groupshift.groups import FreeAbelianOracle
 from groupshift.shiftcore import Alphabet, coding_from_pairs
 from groupshift.toeplitz import (
     FILLER,
-    DecodedPrefix,
     LayeredWord,
     WindowVerdict,
     cyclic_decompose,
@@ -146,8 +145,6 @@ def test_layered_word_validation():
         LayeredWord(3, {"1": "01"})
     with pytest.raises(UnknownSymbol):
         LayeredWord(2, {"1": "0x"})
-    with pytest.raises(BadLength):
-        DecodedPrefix({"1": "01", "x": "0"})
     word = LayeredWord(3, {"1": "01" + FILLER, "x": FILLER * 3}, offset=6)
     sub = word.window(7, 2)
     assert sub.layer("1") == "1" + FILLER
