@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Optional
 
 from .effective import ActionOracle, SetOracle, SubshiftCodec
 from .errors import (
@@ -364,17 +365,25 @@ def factor_phi(patch: FinalPatch, ctx: FactorContext, n: int, at=()) -> str:
 
 
 def witness_construct(
-    ctx: FactorContext, g_ball: CayleyBall, prefixes: dict, omega_bar: ProductGridPatch
+    ctx: FactorContext,
+    g_ball: CayleyBall,
+    prefixes: dict,
+    omega_bar: ProductGridPatch,
+    shell: Optional[CayleyBall] = None,
 ):
     """Assemble a patch from explicit orbit data, one prefix per base cell.
 
     Layer s of slice g spreads the prefix supplied for g·s⁻¹, so the
     caller must provide prefixes (all of one length) for every element of
-    the radius+1 ball, keyed by canonical word.  All slices share
-    omega_bar; the records of each slice are seeded onto its grid.
-    Returns the patch, or the SeedFailure the grid seeding reported.
+    the radius+1 ball, keyed by canonical word.  A caller that has built
+    that ball passes it as `shell`.  All slices share omega_bar; the
+    records of each slice are seeded onto its grid.  Returns the patch,
+    or the SeedFailure the grid seeding reported.
     """
-    shell = cayley_ball(g_ball.oracle, g_ball.radius + 1)
+    if shell is None:
+        shell = cayley_ball(g_ball.oracle, g_ball.radius + 1)
+    elif shell.oracle is not g_ball.oracle or shell.radius != g_ball.radius + 1:
+        raise ValueError("shell must be the radius+1 ball of the base ball's group")
     gens = g_ball.oracle.gens
     layers = ctx.layers
     reverse = {}
@@ -492,14 +501,16 @@ def final_patch_to_descriptor(patch: FinalPatch) -> dict:
 
 
 def final_patch_from_descriptor(obj, path: str = "final") -> FinalPatch:
-    g_ball = ball_from_descriptor(obj, path, "omega", "y")
+    # The slices usually name one grid group and radius: build each ball once.
+    balls: dict = {}
+    g_ball = ball_from_descriptor(obj, path, "omega", "y", balls=balls)
     omega = {}
     for g, pair, where in cells_from_words(g_ball, obj["omega"], f"{path}.omega"):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(where, "expected [rows, columns]")
         omega[g] = ProductGridPatch(
-            grid_patch_from_descriptor(pair[0], f"{where}[0]"),
-            grid_patch_from_descriptor(pair[1], f"{where}[1]"),
+            grid_patch_from_descriptor(pair[0], f"{where}[0]", balls),
+            grid_patch_from_descriptor(pair[1], f"{where}[1]", balls),
         )
     y_sym = {}
     for g, rows, where in cells_from_words(g_ball, obj["y"], f"{path}.y"):

@@ -42,6 +42,8 @@ from .assembly import (
 )
 from .effective import (
     Verdict,
+    ball_codec,
+    block_length,
     make_codec,
     rho_action_oracle,
     rho_set_oracle,
@@ -76,6 +78,7 @@ from .groups import (
     format_word,
     group_from_descriptor,
     parse_word,
+    smallest_ball,
 )
 from .shiftcore import (
     Pattern,
@@ -182,8 +185,8 @@ def _ball_dot(ball) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_grid(path: str, key: str):
-    return grid_patch_from_descriptor(_unwrap(_load_json(path), "grid"), key)
+def _load_grid(path: str, key: str, balls=None):
+    return grid_patch_from_descriptor(_unwrap(_load_json(path), "grid"), key, balls)
 
 
 def _load_context(path: str):
@@ -264,22 +267,18 @@ def _cmd_nn_extend(args):
 def _cmd_oracle_query(args):
     spec = subshift_from_descriptor(_unwrap(_load_json(args.subshift), "subshift"))
     word = args.word
-    radius = args.radius
-    if radius is None:
+    if args.radius is None:
         # Smallest ball that has an address for every block of the word.
-        radius = 0
-        codec = make_codec(spec.group, spec.alphabet, radius)
-        while len(codec.ball) < max(1, len(word) // codec.kappa) and radius < 16:
-            radius += 1
-            codec = make_codec(spec.group, spec.alphabet, radius)
+        need = max(1, len(word) // block_length(spec.alphabet))
+        ball = smallest_ball(spec.group, need, 16)
     else:
-        codec = make_codec(spec.group, spec.alphabet, radius)
-    oracle = rho_set_oracle(codec, spec.forbidden)
+        ball = cayley_ball(spec.group, args.radius)
+    oracle = rho_set_oracle(ball_codec(ball, spec.alphabet), spec.forbidden)
     verdict = oracle.query(word, args.budget)
     payload = {
         "word": word,
         "budget": args.budget,
-        "radius": radius,
+        "radius": ball.radius,
         "verdict": verdict.value,
     }
     return payload, 1 if verdict is Verdict.CERTIFIED_EMPTY else 0, verdict.value
@@ -362,9 +361,9 @@ def _cmd_grid_cover(args):
     payload = {"problems": problems, "succ": steps(result.succ), "pred": steps(result.pred)}
     try:
         derived = from_translation_action(ball, result.succ, result.pred)
-    except DisplacementNotGenerator:
-        derived = None
-    if derived is not None:
+    except DisplacementNotGenerator as exc:
+        problems.append(str(exc))
+    else:
         payload["grid"] = grid_patch_to_descriptor(derived)
         if args.dot:
             _write_text(args.dot, grid_patch_to_dot(derived))
@@ -372,8 +371,9 @@ def _cmd_grid_cover(args):
 
 
 def _cmd_grid_seed(args):
-    patch1 = _load_grid(args.grid1, "grid1")
-    patch2 = _load_grid(args.grid2, "grid2")
+    balls: dict = {}
+    patch1 = _load_grid(args.grid1, "grid1", balls)
+    patch2 = _load_grid(args.grid2, "grid2", balls)
     planar = patch_from_descriptor(
         _unwrap(_load_json(args.config), "patch"), "config"
     )
@@ -420,18 +420,18 @@ def _cmd_final_check(args):
 def _cmd_final_witness(args):
     ctx, _ = _load_context(args.ctx)
     oracle = group_from_descriptor(_load_json(args.group))
-    g_ball = cayley_ball(oracle, args.radius)
     shell = cayley_ball(oracle, args.radius + 1)
     prefixes = {}
     for index, bits, where in cells_from_words(shell, _load_json(args.prefixes), "prefixes"):
         if not isinstance(bits, str):
             raise SchemaError(where, "expected a bit string")
         prefixes[shell.elements[index]] = bits
-    patch1 = _load_grid(args.grid1, "grid1")
-    patch2 = _load_grid(args.grid2, "grid2")
+    balls: dict = {}
+    patch1 = _load_grid(args.grid1, "grid1", balls)
+    patch2 = _load_grid(args.grid2, "grid2", balls)
     try:
         result = witness_construct(
-            ctx, g_ball, prefixes, ProductGridPatch(patch1, patch2)
+            ctx, shell.restrict(args.radius), prefixes, ProductGridPatch(patch1, patch2), shell
         )
     except CycleDetected as exc:
         return {"failure": str(exc)}, 1, None

@@ -177,17 +177,22 @@ def make_codec(
     radius: int,
     max_elements: int = 1_000_000,
 ) -> SubshiftCodec:
-    """Build the codec over the radius-r ball of a group.
+    """Build the codec over the radius-r ball of a group."""
+    return ball_codec(cayley_ball(oracle, radius, max_elements), alphabet)
 
-    kappa = ⌈log₂|A|⌉ (at least 1) and upsilon assigns alphabet symbols
-    their index written in kappa binary digits, in alphabet order.
-    """
-    ball = cayley_ball(oracle, radius, max_elements)
-    size = len(alphabet)
-    kappa = max(1, (size - 1).bit_length())
+
+def block_length(alphabet: Alphabet) -> int:
+    """kappa = ⌈log₂|A|⌉, at least 1: the bits that code one symbol."""
+    return max(1, (len(alphabet) - 1).bit_length())
+
+
+def ball_codec(ball: CayleyBall, alphabet: Alphabet) -> SubshiftCodec:
+    """The codec over a given ball: upsilon assigns alphabet symbols their
+    index written in kappa binary digits, in alphabet order."""
+    kappa = block_length(alphabet)
     upsilon = {sym: format(i, f"0{kappa}b") for i, sym in enumerate(alphabet.symbols)}
     decoding = {code: sym for sym, code in upsilon.items()}
-    return SubshiftCodec(oracle, ball, alphabet, kappa, upsilon, decoding)
+    return SubshiftCodec(ball.oracle, ball, alphabet, kappa, upsilon, decoding)
 
 
 def rho_encode(codec: SubshiftCodec, pattern: Pattern, last_address=None) -> str:

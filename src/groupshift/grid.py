@@ -176,15 +176,17 @@ def from_translation_action(
 
 def _displacement(ball: CayleyBall, h: int, target) -> str:
     """The first generator s with h·s equal to the target cell or word."""
-    gens = ball.oracle.gens
-    source = ball.elements[h]
-    for s in gens.symbols:
-        if isinstance(target, int):
-            if ball.edges.get((h, s)) == target:
-                return s
-        elif ball.oracle.equals(source + (s,), tuple(target)):
-            return s
-    raise DisplacementNotGenerator(f"cell {h}: displacement to {target!r} is not a generator")
+    symbols = ball.oracle.gens.symbols
+    if isinstance(target, int):
+        found = (s for s in symbols if ball.edges.get((h, s)) == target)
+    else:
+        key = ball.oracle.canonical_key(tuple(target))
+        source = ball.elements[h]
+        found = (s for s in symbols if ball.oracle.canonical_key(source + (s,)) == key)
+    sym = next(found, None)
+    if sym is None:
+        raise DisplacementNotGenerator(f"cell {h}: displacement to {target!r} is not a generator")
+    return sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -552,8 +554,8 @@ def grid_patch_to_descriptor(patch: GridPatch) -> dict:
     return {**ball_to_descriptor(patch.ball), "labels": cells_to_words(patch.ball, labels)}
 
 
-def grid_patch_from_descriptor(obj, path: str = "grid") -> GridPatch:
-    ball = ball_from_descriptor(obj, path, "labels")
+def grid_patch_from_descriptor(obj, path: str = "grid", balls=None) -> GridPatch:
+    ball = ball_from_descriptor(obj, path, "labels", balls=balls)
     labels = {}
     for idx, pair, where in cells_from_words(ball, obj["labels"], f"{path}.labels"):
         if not (

@@ -497,7 +497,14 @@ class CayleyBall:
         if word in self._resolve_memo:
             return self._resolve_memo[word]
         self.oracle.gens.check_word(word)
-        found = self._keyed.get(self.oracle.canonical_key(word))
+        # Follow edges from the identity; key the word only if a prefix
+        # leaves the ball, since the rest of it may come back in.
+        found = 0
+        for sym in word:
+            found = self.edges.get((found, sym))
+            if found is None:
+                found = self._keyed.get(self.oracle.canonical_key(word))
+                break
         self._resolve_memo[word] = found
         return found
 
@@ -528,45 +535,79 @@ class CayleyBall:
         return CayleyBall(self.oracle, radius, elements, distance, edges, keyed)
 
 
-def cayley_ball(oracle: GroupOracle, radius: int, max_elements: int = 1_000_000) -> CayleyBall:
-    """Enumerate the ball of a given radius by shortlex breadth-first search."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+def _grown_ball(oracle: GroupOracle, done, max_elements: int) -> CayleyBall:
+    """Grow a ball by shortlex breadth-first search, one sphere at a time,
+    until `done(radius, size)`.
+
+    Each product the search keys is recorded as the edge (i, s) -> j and
+    its inverse (j, s⁻¹) -> i, and a pair whose edge is known is never
+    keyed again.  The products of inner spheres all lie in the ball, so
+    only the outer sphere has pairs left to key at the end; the products
+    among those that land in the ball become edges too.
+    """
     gens = oracle.gens
+    inverse = gens.inverse
     extend = [s for s in gens.symbols if s != gens.identity]
     elements: list[Word] = [EPSILON]
     distance: list[int] = [0]
-    key_index = {oracle.canonical_key(EPSILON): 0}
-
-    level = [EPSILON]
-    for dist in range(1, radius + 1):
-        next_level = []
-        for parent in level:
+    keyed = {oracle.canonical_key(EPSILON): 0}
+    products: dict[tuple[int, str], int] = {}
+    sphere = [0]
+    radius = 0
+    while not done(radius, len(elements)):
+        radius += 1
+        outer = []
+        for i in sphere:
             for sym in extend:
-                candidate = parent + (sym,)
-                key = oracle.canonical_key(candidate)
-                if key in key_index:
+                if (i, sym) in products:
                     continue
-                if len(elements) >= max_elements:
-                    raise ResourceLimit(
-                        f"ball exceeded {max_elements} elements at radius {dist}"
-                    )
-                key_index[key] = len(elements)
-                elements.append(candidate)
-                distance.append(dist)
-                next_level.append(candidate)
-        level = next_level
-
+                candidate = elements[i] + (sym,)
+                key = oracle.canonical_key(candidate)
+                j = keyed.get(key)
+                if j is None:
+                    if len(elements) >= max_elements:
+                        raise ResourceLimit(
+                            f"ball exceeded {max_elements} elements at radius {radius}"
+                        )
+                    j = keyed[key] = len(elements)
+                    elements.append(candidate)
+                    distance.append(radius)
+                    outer.append(j)
+                products[(i, sym)] = j
+                products[(j, inverse[sym])] = i
+        sphere = outer
+    for i in sphere:
+        for sym in extend:
+            if (i, sym) not in products:
+                j = keyed.get(oracle.canonical_key(elements[i] + (sym,)))
+                if j is not None:
+                    products[(i, sym)] = j
+                    products[(j, inverse[sym])] = i
     edges: dict[tuple[int, str], int] = {}
-    for i, word in enumerate(elements):
+    for i in range(len(elements)):
         for sym in gens.symbols:
-            if sym == gens.identity:
-                edges[(i, sym)] = i
-                continue
-            target = key_index.get(oracle.canonical_key(word + (sym,)))
-            if target is not None:
-                edges[(i, sym)] = target
-    return CayleyBall(oracle, radius, elements, distance, edges, key_index)
+            j = i if sym == gens.identity else products.get((i, sym))
+            if j is not None:
+                edges[(i, sym)] = j
+    return CayleyBall(oracle, radius, elements, distance, edges, keyed)
+
+
+_MAX_ELEMENTS = 1_000_000
+
+
+def cayley_ball(
+    oracle: GroupOracle, radius: int, max_elements: int = _MAX_ELEMENTS
+) -> CayleyBall:
+    """Enumerate the ball of a given radius by shortlex breadth-first search."""
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    return _grown_ball(oracle, lambda r, size: r >= radius, max_elements)
+
+
+def smallest_ball(oracle: GroupOracle, size: int, max_radius: int) -> CayleyBall:
+    """The ball of the smallest radius up to max_radius that has at least
+    `size` elements, or the max_radius ball; one search grows it."""
+    return _grown_ball(oracle, lambda r, n: n >= size or r >= max_radius, _MAX_ELEMENTS)
 
 
 def group_from_descriptor(obj, path: str = "group") -> GroupOracle:
@@ -642,8 +683,12 @@ def group_from_descriptor(obj, path: str = "group") -> GroupOracle:
 # cell's canonical word, and two keys naming one cell are an error.
 
 
-def ball_from_descriptor(obj, path: str, *fields) -> CayleyBall:
-    """The ball of a descriptor object that must also carry `fields`."""
+def ball_from_descriptor(obj, path: str, *fields, balls: Optional[dict] = None) -> CayleyBall:
+    """The ball of a descriptor object that must also carry `fields`.
+
+    A reader of many descriptors may pass one `balls` dict for the whole
+    read; descriptors naming the same group and radius then share a ball.
+    """
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     for key in ("group", "radius", *fields):
@@ -653,7 +698,12 @@ def ball_from_descriptor(obj, path: str, *fields) -> CayleyBall:
     radius = obj["radius"]
     if not isinstance(radius, int) or radius < 0:
         raise SchemaError(f"{path}.radius", "expected a non-negative integer")
-    return cayley_ball(oracle, radius)
+    if balls is None:
+        balls = {}
+    name = (repr(oracle.descriptor), radius)
+    if name not in balls:
+        balls[name] = cayley_ball(oracle, radius)
+    return balls[name]
 
 
 def ball_to_descriptor(ball: CayleyBall) -> dict:

@@ -347,6 +347,20 @@ def test_witness_needs_complete_orbit_data():
         witness_construct(ctx, g_ball, prefixes, bar)
 
 
+def test_witness_takes_only_its_own_shell():
+    ctx, codec = golden_setup()
+    g_ball = line_ball(1)
+    bar = ProductGridPatch(line_patch(4), line_patch(1))
+    prefixes = alternating_prefixes(codec, g_ball)
+    built = witness_construct(ctx, g_ball, prefixes, bar)
+    shell = cayley_ball(g_ball.oracle, 2)
+    given_shell = witness_construct(ctx, g_ball, prefixes, bar, shell)
+    assert final_patch_to_descriptor(given_shell) == final_patch_to_descriptor(built)
+    for wrong in (cayley_ball(g_ball.oracle, 3), cayley_ball(FreeAbelianOracle(2), 2)):
+        with pytest.raises(ValueError):
+            witness_construct(ctx, g_ball, prefixes, bar, wrong)
+
+
 def test_witness_propagates_label_cycles():
     ctx, codec = golden_setup()
     g_ball = line_ball(1)

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import groupshift
+from groupshift import cli, groups
 from groupshift.aperiodic import (
     ColoredBall,
     colored_ball_from_descriptor,
@@ -31,6 +32,7 @@ from groupshift.errors import SchemaError
 from groupshift.grid import (
     GridLabel,
     GridPatch,
+    PathCover,
     check_grid_local,
     from_translation_action,
     grid_patch_from_descriptor,
@@ -82,6 +84,22 @@ def report(out):
     obj = json.loads(out)
     assert obj["schema"] == "groupshift/1"
     return obj
+
+
+@pytest.fixture
+def ball_builds(monkeypatch):
+    """(group descriptor, radius) of every `cayley_ball` call in the package."""
+    calls = []
+    build = groups.cayley_ball
+
+    def counted(oracle, radius, *rest):
+        calls.append((json.dumps(oracle.descriptor), radius))
+        return build(oracle, radius, *rest)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("groupshift") and getattr(module, "cayley_ball", None) is build:
+            monkeypatch.setattr(module, "cayley_ball", counted)
+    return calls
 
 
 def line_grid_descriptor(radius):
@@ -216,6 +234,19 @@ def test_oracle_query_verdicts(tmp_path, capsys):
     assert out == "Unknown\n"
 
 
+def test_oracle_query_grows_the_smallest_ball_that_fits(tmp_path, capsys, ball_builds):
+    # Without --radius the report names the smallest radius, at most 16, whose
+    # ball has an address for every block of the word: 2r + 1 >= |word| on Z.
+    subshift = write(tmp_path, "sub.json", GOLDEN_SUBSHIFT)
+    for length, radius in ((1, 0), (2, 1), (3, 1), (4, 2), (33, 16), (40, 16)):
+        argv = ["oracle", "query", "--subshift", subshift, "--word", "0" * length]
+        code, out, _ = run_cli(capsys, argv + ["--budget", "10"])
+        assert code == 0
+        assert report(out)["radius"] == radius
+    # One search grows the ball; no ball is built per radius.
+    assert ball_builds == []
+
+
 # ---------------------------------------------------------------------------
 # Toeplitz commands
 
@@ -312,6 +343,45 @@ def test_grid_cover_fails_on_order_two_group(tmp_path, capsys):
     assert "no valid cover" in report(out)["failure"]
 
 
+def test_grid_cover_reports_a_cover_it_cannot_label(tmp_path, capsys):
+    # At radius 16 the Grigorchuk cover passes `validate`, but a path starts
+    # at a cell whose generator edges all stay in the ball: no label fits it.
+    group = write(tmp_path, "grig.json", {"kind": "grigorchuk"})
+    dot = tmp_path / "cover.dot"
+    argv = ["grid", "cover", "--group", group, "--radius", "16", "--dot", str(dot)]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 1
+    obj = report(out)
+    assert obj["problems"] == ["cell 3313 has no mapping and no outward edge"]
+    assert "grid" not in obj
+    assert not dot.exists()
+
+
+def test_grid_cover_lists_the_labelling_error_after_validate_problems(
+    tmp_path, capsys, monkeypatch
+):
+    # A cover that fails `validate` and cannot be labelled reports both.
+    search = cli.path_cover_search
+
+    def broken(ball, margin, seed=0):
+        cover = search(ball, margin, seed)
+        succ = {h: t for h, t in cover.succ.items() if h != 0}
+        return PathCover(ball, succ, cover.pred)
+
+    monkeypatch.setattr(cli, "path_cover_search", broken)
+    group = write(tmp_path, "z.json", Z)
+    dot = tmp_path / "cover.dot"
+    argv = ["grid", "cover", "--group", group, "--radius", "4", "--dot", str(dot)]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 1
+    obj = report(out)
+    problems = obj["problems"]
+    assert "interior cell 0 is a path endpoint" in problems
+    assert problems[-1] == "cell 0 has no mapping and no outward edge"
+    assert "grid" not in obj
+    assert not dot.exists()
+
+
 def test_grid_label_pair_must_hold_two_symbols(tmp_path, capsys):
     grid = line_grid_descriptor(2)
     grid["labels"][""] = [["x-"], "x"]
@@ -380,39 +450,54 @@ def test_grid_seed_spreads_planar_patch(tmp_path, capsys):
     assert table["x x"]["x"] == "1"
 
 
+def test_grid_seed_builds_one_ball_for_both_grids(tmp_path, capsys, ball_builds):
+    grid = write(tmp_path, "g.json", line_grid_descriptor(2))
+    rows = [[str((x + y) % 2) for x in range(-2, 3)] for y in range(-2, 3)]
+    config = write(tmp_path, "config.json", {"origin": [-2, -2], "rows": rows})
+    ball_builds.clear()
+    argv = ["grid", "seed", "--grid1", grid, "--grid2", grid, "--config", config]
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert ball_builds == [(json.dumps(Z), 2)]
+
+
 # ---------------------------------------------------------------------------
 # final-assembly commands
 
 
-def final_fixture(tmp_path):
+def final_witness_argv(tmp_path, grid2_radius=2):
+    """(ctx path, witness path, `final witness` argv) on written inputs."""
     ctx = write(tmp_path, "ctx.json", {"subshift": GOLDEN_SUBSHIFT, "radius": 4})
     group = write(tmp_path, "z.json", Z)
     prefixes = write(tmp_path, "prefixes.json", parity_prefixes())
     grid1 = write(tmp_path, "grid1.json", line_grid_descriptor(10))
-    grid2 = write(tmp_path, "grid2.json", line_grid_descriptor(2))
-    witness = tmp_path / "witness.json"
-    code = main(
-        [
-            "final",
-            "witness",
-            "--ctx",
-            ctx,
-            "--group",
-            group,
-            "--radius",
-            "1",
-            "--prefixes",
-            prefixes,
-            "--grid1",
-            grid1,
-            "--grid2",
-            grid2,
-            "--out",
-            str(witness),
-        ]
-    )
-    assert code == 0
-    return ctx, str(witness)
+    grid2 = write(tmp_path, "grid2.json", line_grid_descriptor(grid2_radius))
+    witness = str(tmp_path / "witness.json")
+    argv = [
+        "final",
+        "witness",
+        "--ctx",
+        ctx,
+        "--group",
+        group,
+        "--radius",
+        "1",
+        "--prefixes",
+        prefixes,
+        "--grid1",
+        grid1,
+        "--grid2",
+        grid2,
+        "--out",
+        witness,
+    ]
+    return ctx, witness, argv
+
+
+def final_fixture(tmp_path):
+    ctx, witness, argv = final_witness_argv(tmp_path)
+    assert main(argv) == 0
+    return ctx, witness
 
 
 def test_final_witness_passes_all_checkers(tmp_path, capsys):
@@ -457,6 +542,24 @@ def test_final_check_counts_are_the_per_slice_local_checks(tmp_path, capsys):
         _, out, _ = run_cli(capsys, ["final", "check", "--ctx", ctx_path, "--patch", path])
         obj = report(out)
         assert (obj["satisfied"], obj["unchecked"]) == (satisfied, unchecked)
+
+
+def test_final_witness_and_check_build_each_ball_once(tmp_path, capsys, ball_builds):
+    # The cli-cold inputs: a Z base of radius 1 and two Z line grids of radius 10.
+    ctx, witness, argv = final_witness_argv(tmp_path, grid2_radius=10)
+    ball_builds.clear()
+    assert main(argv) == 0
+    z = json.dumps(Z)
+    # The codec ball, the radius 2 shell (its radius 1 ball is a restriction)
+    # and one grid ball for both grid files.
+    assert sorted(ball_builds) == [(z, 2), (z, 4), (z, 10)]
+    ball_builds.clear()
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, ["final", "check", "--ctx", ctx, "--patch", witness])
+    assert code == 0
+    assert report(out)["violations"] == []
+    # The codec ball, the base ball and one grid ball for all six slice grids.
+    assert sorted(ball_builds) == [(z, 1), (z, 4), (z, 10)]
 
 
 def test_final_phi_reads_the_coded_prefix(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshift.errors import SchemaError, UnknownSymbol
+from groupshift.errors import ResourceLimit, SchemaError, UnknownSymbol
 from groupshift.groups import (
     EPSILON,
     FreeAbelianOracle,
@@ -467,3 +467,142 @@ def test_bad_descriptors_raise_schema_errors():
         group_from_descriptor({"kind": "product", "factors": []})
     with pytest.raises(SchemaError):
         group_from_descriptor("not an object")
+
+
+# ---------------------------------------------------------------------------
+# Cross-validation of the one-pass ball against the two-pass enumeration.
+
+
+def two_pass_ball(oracle, radius, max_elements=1_000_000):
+    """(elements, distance, edges, keyed) by the plain two-pass search: the
+    breadth-first pass keys every parent·s, and a second pass keys every
+    element·s again to find the edges."""
+    gens = oracle.gens
+    extend = [s for s in gens.symbols if s != gens.identity]
+    elements = [EPSILON]
+    distance = [0]
+    key_index = {oracle.canonical_key(EPSILON): 0}
+    level = [EPSILON]
+    for dist in range(1, radius + 1):
+        next_level = []
+        for parent in level:
+            for sym in extend:
+                candidate = parent + (sym,)
+                key = oracle.canonical_key(candidate)
+                if key in key_index:
+                    continue
+                if len(elements) >= max_elements:
+                    raise ResourceLimit(
+                        f"ball exceeded {max_elements} elements at radius {dist}"
+                    )
+                key_index[key] = len(elements)
+                elements.append(candidate)
+                distance.append(dist)
+                next_level.append(candidate)
+        level = next_level
+    edges = {}
+    for i, word in enumerate(elements):
+        for sym in gens.symbols:
+            if sym == gens.identity:
+                edges[(i, sym)] = i
+                continue
+            target = key_index.get(oracle.canonical_key(word + (sym,)))
+            if target is not None:
+                edges[(i, sym)] = target
+    return elements, distance, edges, key_index
+
+
+# The Grigorchuk machine as a plain `mealy` descriptor with an identity state.
+MEALY = {
+    "kind": "mealy",
+    "states": ["a", "b", "c", "d", "e"],
+    "transition": {
+        "a": {"0": "e", "1": "e"},
+        "b": {"0": "a", "1": "c"},
+        "c": {"0": "a", "1": "d"},
+        "d": {"0": "e", "1": "b"},
+        "e": {"0": "e", "1": "e"},
+    },
+    "output": {
+        "a": {"0": "1", "1": "0"},
+        "b": {"0": "0", "1": "1"},
+        "c": {"0": "0", "1": "1"},
+        "d": {"0": "0", "1": "1"},
+        "e": {"0": "0", "1": "1"},
+    },
+    "generators": ["a", "b", "c", "d"],
+}
+
+BALL_ORACLES = {
+    "z": FreeAbelianOracle(1),
+    "z2": FreeAbelianOracle(2),
+    "f2": FreeGroupOracle(2),
+    "grigorchuk": GrigorchukOracle(),
+    "mealy": group_from_descriptor(MEALY),
+    "mealy-two-state-generators": grigorchuk_descriptor_oracle(),
+    "z-x-grigorchuk": ProductOracle([FreeAbelianOracle(1), GrigorchukOracle()]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BALL_ORACLES)),
+    radius=st.integers(0, 5),
+    max_elements=st.one_of(st.just(1_000_000), st.integers(1, 120)),
+)
+def test_ball_equals_the_two_pass_enumeration(name, radius, max_elements):
+    oracle = BALL_ORACLES[name]
+    try:
+        expected = two_pass_ball(oracle, radius, max_elements)
+    except ResourceLimit as exc:
+        with pytest.raises(ResourceLimit) as raised:
+            cayley_ball(oracle, radius, max_elements)
+        assert str(raised.value) == str(exc)
+        return
+    elements, distance, edges, keyed = expected
+    ball = cayley_ball(oracle, radius, max_elements)
+    assert ball.elements == elements
+    assert ball.distance == distance
+    # Equal maps, built in the same order.
+    assert list(ball.edges.items()) == list(edges.items())
+    assert list(ball._keyed.items()) == list(keyed.items())
+
+
+_BIG_BALLS: dict = {}
+
+
+def _big_ball(name):
+    if name not in _BIG_BALLS:
+        _BIG_BALLS[name] = cayley_ball(BALL_ORACLES[name], 4)
+    return _BIG_BALLS[name]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_resolve_agrees_with_the_key_table(data):
+    name = data.draw(st.sampled_from(sorted(BALL_ORACLES)))
+    full = _big_ball(name)
+    # A fresh ball each time, so the walk runs and not the memo of an
+    # earlier example; restricted balls lose the edges that leave them.
+    ball = full.restrict(data.draw(st.integers(0, full.radius)))
+    gens = ball.oracle.gens
+    letters = st.sampled_from(gens.symbols)
+    head = tuple(data.draw(st.lists(letters, max_size=4)))
+    detour = tuple(data.draw(st.lists(letters, max_size=7)))
+    tail = tuple(data.draw(st.lists(letters, max_size=4)))
+    # The detour may leave the ball; its inverse brings the word back.
+    for word in (head + tail, head + detour + gens.word_inverse(detour) + tail):
+        expected = ball._keyed.get(ball.oracle.canonical_key(word))
+        assert ball.resolve(word) == expected
+        assert ball.resolve(word) == expected  # and from the memo
+
+
+def test_grigorchuk_ball_keys_each_product_once():
+    oracle = GrigorchukOracle()
+    calls = []
+    key = oracle.canonical_key
+    oracle.canonical_key = lambda word: calls.append(word) or key(word)
+    ball = cayley_ball(oracle, 6)
+    assert len(ball) == 108
+    assert len(calls) <= 254
+    assert len(calls) == len(set(calls))
