@@ -27,16 +27,15 @@ from .errors import (
     UnknownSymbol,
 )
 from .grid import (
+    GridPatch,
     ProductGridPatch,
-    SeedFailure,
     _chains,
+    _seed_coordinates,
     _walk_line,
     check_grid_local,
     grid_patch_from_descriptor,
     grid_patch_to_descriptor,
     grid_y_check,
-    read_grid,
-    seed_grid_from_config,
 )
 from .groups import (
     CayleyBall,
@@ -47,7 +46,7 @@ from .groups import (
     cells_to_nested_words,
     cells_to_words,
 )
-from .shiftcore import NNSFT2D, Alphabet, Pattern, Patch2D, Violations
+from .shiftcore import NNSFT2D, Alphabet, Pattern, Violations
 from .toeplitz import FILLER, LayeredWord, WindowVerdict, action_layers, gamma_prefix
 from .toeplitz import psi_tilde, top1d_forbidden
 
@@ -186,32 +185,59 @@ def _layered(ctx, symbols) -> LayeredWord:
     return LayeredWord(len(records), dict(zip(ctx.layers, columns)), 0)
 
 
+def _row_cells(patch: GridPatch, h: int, length: int):
+    """The cells of the row window of a length rightwards from h, or None
+    when the walk leaves the ball."""
+    line = _walk_line(patch, h, 0, length)
+    return None if line is None else tuple(line[x] for x in range(length))
+
+
 def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Violations:
     """Per-slice grid validity: local labels, dominoes, and row decoding.
 
     Every maximal rightward run of each slice is scanned with decode
     windows of the largest power-of-three length that fits, at every
     offset; a window certified forbidden by the decoders or the oracles
-    is reported as (g, "row", (chain, column, offset)).  The verdict
-    depends only on the window's symbols, so each distinct symbol tuple
-    is tested once per call.  The counts of the returned list cover the
-    label and domino checks of every slice.
+    is reported as (g, "row", (chain, column, offset)).  Within one call
+    the label checks and chains of a grid shared by several slices are
+    computed once, each distinct row and each distinct window is tested
+    once, and the oracles are asked once per distinct tuple of decoded
+    prefixes.  The counts of the returned list cover the label and
+    domino checks of every slice.
     """
     violations = Violations()
+    local = {}
+    chained = {}
     forbidden = {}
+    decided = {}
+    bad_offsets = {}
+
+    def window_forbidden(symbols) -> bool:
+        if symbols not in forbidden:
+            window = _layered(ctx, symbols)
+            verdict = top1d_forbidden(window, ctx.X, ctx.T, budget, decided)
+            forbidden[symbols] = verdict is WindowVerdict.FORBIDDEN
+        return forbidden[symbols]
+
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
         for k, gp in ((1, slc.patch1), (2, slc.patch2)):
-            report = check_grid_local(gp)
+            report = local.get(gp)
+            if report is None:
+                report = local[gp] = check_grid_local(gp)
             violations.extend((g, "grid", k, v) for v in report.violations)
             violations.tally(report)
         y_slice = patch.y_slice(g)
         report = grid_y_check(slc, y_slice, ctx.sft)
         violations.extend((g, "cell", v) for v in report.violations)
         violations.tally(report)
-        try:
-            chains, _ = _chains(slc.patch1)
-        except CycleDetected:
+        if slc.patch1 not in chained:
+            try:
+                chained[slc.patch1] = _chains(slc.patch1)[0]
+            except CycleDetected:
+                chained[slc.patch1] = None
+        chains = chained[slc.patch1]
+        if chains is None:
             violations.append((g, "cycle", 1))
             continue
         for ci, chain in enumerate(chains):
@@ -223,15 +249,13 @@ def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Vio
             length = 3 ** (depth + 1)
             for h2 in range(len(slc.patch2.ball)):
                 row = tuple(y_slice[(h1, h2)] for h1 in chain)
-                for offset in range(len(chain) - length + 1):
-                    symbols = row[offset : offset + length]
-                    verdict = forbidden.get(symbols)
-                    if verdict is None:
-                        window = _layered(ctx, symbols)
-                        verdict = top1d_forbidden(window, ctx.X, ctx.T, budget)
-                        forbidden[symbols] = verdict
-                    if verdict is WindowVerdict.FORBIDDEN:
-                        violations.append((g, "row", (ci, h2, offset)))
+                if row not in bad_offsets:
+                    bad_offsets[row] = [
+                        offset
+                        for offset in range(len(chain) - length + 1)
+                        if window_forbidden(row[offset : offset + length])
+                    ]
+                violations.extend((g, "row", (ci, h2, offset)) for offset in bad_offsets[row])
     return violations
 
 
@@ -261,6 +285,8 @@ def check_F3(patch: FinalPatch, ctx: FactorContext) -> list:
     layers = ctx.layers
     position = {s: i for i, s in enumerate(layers)}
     identity_pos = position[ctx.T.identity]
+    records = ctx.block_map
+    y_sym = patch.y_sym
     gens = patch.g_ball.oracle.gens
     violations = []
     for g in range(len(patch.g_ball)):
@@ -273,11 +299,14 @@ def check_F3(patch: FinalPatch, ctx: FactorContext) -> list:
             t = patch.g_ball.edges.get((g, gens.inverse[s]))
             if t is None:
                 continue
+            layer = position[s]
             for h1 in range(len(slc.patch1.ball)):
                 for h2 in range(len(slc.patch2.ball)):
-                    own = _record(ctx, patch.y_sym[(g, h1, h2)])
-                    over = _record(ctx, patch.y_sym[(t, h1, h2)])
-                    if own[position[s]] != over[identity_pos]:
+                    a, b = y_sym[(g, h1, h2)], y_sym[(t, h1, h2)]
+                    # Records are non-empty; _record raises for a symbol without one.
+                    own = records.get(a) or _record(ctx, a)
+                    over = records.get(b) or _record(ctx, b)
+                    if own[layer] != over[identity_pos]:
                         violations.append(((g, h1, h2), s))
     return violations
 
@@ -287,56 +316,83 @@ def check_F4(patch: FinalPatch, ctx: FactorContext) -> list:
 
     For each slice and each depth m below kappa, the window decoded from
     the identity base is compared — in symbol m — with the windows
-    decoded from every generator-neighbour base.
+    decoded from every generator-neighbour base.  The rows are walked
+    once per distinct grid and each distinct window is decoded once,
+    within the call.
     """
     if ctx.kappa <= 0:
         return []
     need = 3**ctx.kappa + 1
     violations = []
+    reads = {}
+    decoded = {}
+    y_sym = patch.y_sym
+
+    def decode(g, m, read):
+        cells, h2 = read
+        if cells is None:
+            return None, "unreadable"
+        # The window's length, 3^(m+1), fixes the depth.
+        symbols = tuple(y_sym[(g, h1, h2)] for h1 in cells)
+        if symbols not in decoded:
+            window = _layered(ctx, symbols)
+            try:
+                decoded[symbols] = gamma_prefix(window, ctx.T.identity, depth=m), None
+            except UndecodableWindow:
+                decoded[symbols] = None, "undecodable"
+        return decoded[symbols]
+
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
         if slc.patch1.ball.radius < need:
             raise BallTooSmall(
                 f"row ball radius {slc.patch1.ball.radius} < {need} needed for kappa={ctx.kappa}"
             )
-        y_slice = patch.y_slice(g)
-        ball1, ball2 = slc.patch1.ball, slc.patch2.ball
-        gens1, gens2 = ball1.oracle.gens, ball2.oracle.gens
-        bases = {}
-        for s1 in gens1.symbols:
-            for s2 in gens2.symbols:
-                idx1 = ball1.index[()] if s1 == gens1.identity else ball1.resolve((s1,))
-                idx2 = ball2.index[()] if s2 == gens2.identity else ball2.resolve((s2,))
-                if idx1 is None or idx2 is None:
-                    continue
-                bases[(s1, s2)] = (idx1, idx2)
-        home = (gens1.identity, gens2.identity)
-        for m in range(ctx.kappa):
-            length = 3 ** (m + 1)
-
-            def decode(base):
-                row = read_grid(slc, y_slice, base, (0, 0, length, 1))
-                if row is None:
-                    return None, "unreadable"
-                window = _layered(ctx, (row.get(x, 0) for x in range(length)))
-                try:
-                    return gamma_prefix(window, ctx.T.identity, depth=m), None
-                except UndecodableWindow:
-                    return None, "undecodable"
-
-            reference, problem = decode(bases[home])
+        if slc not in reads:
+            reads[slc] = _base_reads(slc, ctx.kappa)
+        home, by_depth = reads[slc]
+        for m, rows in enumerate(by_depth):
+            reference, problem = decode(g, m, rows[home])
             if problem is not None:
                 violations.append((g, m, home, problem))
                 continue
-            for pair, base in bases.items():
+            for pair, read in rows.items():
                 if pair == home:
                     continue
-                value, problem = decode(base)
+                value, problem = decode(g, m, read)
                 if problem is not None:
                     violations.append((g, m, pair, problem))
                 elif value[m] != reference[m]:
                     violations.append((g, m, pair, "mismatch"))
     return violations
+
+
+def _base_reads(slc: ProductGridPatch, kappa: int) -> tuple:
+    """The row reads F4 compares on one product grid.
+
+    Returns the identity pair and, for each depth m below kappa, a map
+    from each generator pair (s1, s2) whose cells lie in the balls to the
+    read of length 3^(m+1) rightwards from (s1, s2): the row cells and
+    the column, with None for the cells when the walk leaves the ball.
+    """
+    ball1, ball2 = slc.patch1.ball, slc.patch2.ball
+    gens1, gens2 = ball1.oracle.gens, ball2.oracle.gens
+    bases = {}
+    for s1 in gens1.symbols:
+        for s2 in gens2.symbols:
+            idx1 = ball1.index[()] if s1 == gens1.identity else ball1.resolve((s1,))
+            idx2 = ball2.index[()] if s2 == gens2.identity else ball2.resolve((s2,))
+            if idx1 is None or idx2 is None:
+                continue
+            bases[(s1, s2)] = (idx1, idx2)
+    by_depth = []
+    for m in range(kappa):
+        length = 3 ** (m + 1)
+        rows = {}
+        for pair, (idx1, idx2) in bases.items():
+            rows[pair] = (_row_cells(slc.patch1, idx1, length), idx2)
+        by_depth.append(rows)
+    return (gens1.identity, gens2.identity), by_depth
 
 
 def factor_phi(patch: FinalPatch, ctx: FactorContext, n: int, at=()) -> str:
@@ -356,11 +412,11 @@ def factor_phi(patch: FinalPatch, ctx: FactorContext, n: int, at=()) -> str:
         raise BallTooSmall(
             f"row ball radius {slc.patch1.ball.radius} cannot hold a {length}-window"
         )
-    base = (slc.patch1.ball.index[()], slc.patch2.ball.index[()])
-    row = read_grid(slc, patch.y_slice(g), base, (0, 0, length, 1))
-    if row is None:
+    h2 = slc.patch2.ball.index[()]
+    cells = _row_cells(slc.patch1, slc.patch1.ball.index[()], length)
+    if cells is None:
         raise UndecodableWindow("the rightward walk leaves the grid before the window ends")
-    window = _layered(ctx, (row.get(x, 0) for x in range(length)))
+    window = _layered(ctx, (patch.y_sym[(g, h1, h2)] for h1 in cells))
     return gamma_prefix(window, ctx.T.identity, depth=n)
 
 
@@ -376,9 +432,13 @@ def witness_construct(
     Layer s of slice g spreads the prefix supplied for g·s⁻¹, so the
     caller must provide prefixes (all of one length) for every element of
     the radius+1 ball, keyed by canonical word.  A caller that has built
-    that ball passes it as `shell`.  All slices share omega_bar; the
-    records of each slice are seeded onto its grid.  Returns the patch,
-    or the SeedFailure the grid seeding reported.
+    that ball passes it as `shell`.  All slices share omega_bar, whose
+    grid coordinates are computed once (`_seed_coordinates`): the cell
+    pair at coordinate x of every slice gets the record spread at x.  A
+    chain has at most as many cells as its ball, so |x| is below the
+    first ball's size, which bounds the spread positions, and every cell
+    pair gets a record.  Raises CycleDetected when a grid's labels close
+    a cycle.
     """
     if shell is None:
         shell = cayley_ball(g_ball.oracle, g_ball.radius + 1)
@@ -390,8 +450,8 @@ def witness_construct(
     for sym, record in ctx.block_map.items():
         reverse.setdefault(record, sym)
     span1 = len(omega_bar.patch1.ball)
-    span2 = len(omega_bar.patch2.ball)
     positions = list(range(-span1, span1 + 1))
+    coordinates = None
     omega = {}
     y_sym = {}
     for g in range(len(g_ball)):
@@ -413,7 +473,7 @@ def witness_construct(
                 raise SchemaError(f"prefixes[{name!r}]", "missing orbit data")
             words[s] = prefix
         layered = psi_tilde(words, positions)
-        cells = {}
+        column = {}
         for j, x in enumerate(positions):
             record = "".join(layered.layers[s][j] for s in layers)
             sym = reverse.get(record)
@@ -421,15 +481,18 @@ def witness_construct(
                 raise SchemaError(
                     "block_map", f"no alphabet symbol encodes the record {record!r}"
                 )
-            for yy in range(-span2, span2 + 1):
-                cells[(x, yy)] = sym
-        config = Patch2D(-span1, -span2, 2 * span1 + 1, 2 * span2 + 1, cells)
-        seeded = seed_grid_from_config(omega_bar, config)
-        if isinstance(seeded, SeedFailure):
-            return seeded
+            column[x] = sym
+        if coordinates is None:
+            # Walked once the first slice's records are known, so a bad
+            # record is still reported before a label cycle.
+            coordinates = [
+                (h1, h2, x)
+                for cells in _seed_coordinates(omega_bar).values()
+                for (h1, h2), (x, _) in cells.items()
+            ]
         omega[g] = omega_bar
-        for (h1, h2), sym in seeded.items():
-            y_sym[(g, h1, h2)] = sym
+        for h1, h2, x in coordinates:
+            y_sym[(g, h1, h2)] = column[x]
     return FinalPatch(g_ball, omega, y_sym)
 
 
@@ -439,8 +502,9 @@ def hat_phi_project(patch: FinalPatch, ctx: FactorContext, codec: SubshiftCodec)
     Every cell re-bases the read: the window starts at that cell of its
     own slice.  Cells whose window leaves the grid, fails to decode, or
     decodes to bits outside the code table are marked Undetermined; with
-    kappa 0 every cell is.  The cells that share a row cell share one walk
-    along the row, and each distinct symbol tuple is decoded once per call.
+    kappa 0 every cell is.  Within one call each distinct row grid is
+    walked once, the windows of a row cell are read off the slice's
+    columns together, and each distinct symbol tuple is decoded once.
     """
     length = 3**ctx.kappa
 
@@ -455,18 +519,26 @@ def hat_phi_project(patch: FinalPatch, ctx: FactorContext, codec: SubshiftCodec)
 
     projection = {}
     decoded = {}
+    lines = {}
+    y_sym = patch.y_sym
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
-        for h1 in range(len(slc.patch1.ball)):
-            line = _walk_line(slc.patch1, h1, 0, length) if ctx.kappa > 0 else None
-            for h2 in range(len(slc.patch2.ball)):
-                if line is None:
-                    projection[(g, h1, h2)] = UNDETERMINED
-                    continue
-                symbols = tuple(patch.y_sym[(g, line[x], h2)] for x in range(length))
-                if symbols not in decoded:
-                    decoded[symbols] = decode(symbols)
-                projection[(g, h1, h2)] = decoded[symbols]
+        n1, n2 = len(slc.patch1.ball), len(slc.patch2.ball)
+        if slc.patch1 not in lines:
+            lines[slc.patch1] = [
+                _row_cells(slc.patch1, h1, length) if ctx.kappa > 0 else None for h1 in range(n1)
+            ]
+        columns = [[y_sym[(g, h1, h2)] for h2 in range(n2)] for h1 in range(n1)]
+        for h1, cells in enumerate(lines[slc.patch1]):
+            if cells is None:
+                projection.update(((g, h1, h2), UNDETERMINED) for h2 in range(n2))
+                continue
+            # Row h2 of the zipped columns is the window of cell (h1, h2).
+            for h2, symbols in enumerate(zip(*(columns[c] for c in cells))):
+                sym = decoded.get(symbols)
+                if sym is None:
+                    sym = decoded[symbols] = decode(symbols)
+                projection[(g, h1, h2)] = sym
     return projection
 
 

@@ -435,8 +435,6 @@ def _cmd_final_witness(args):
         )
     except CycleDetected as exc:
         return {"failure": str(exc)}, 1, None
-    if isinstance(result, SeedFailure):
-        return {"failure": result.reason}, 1, None
     return {"patch": final_patch_to_descriptor(result)}, 0, None
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     BallTooSmall,
@@ -40,10 +41,16 @@ class GridLabel:
 
 
 class GridPatch:
-    """A total assignment of direction labels to a ball."""
+    """A total assignment of direction labels to a ball.
+
+    The labels are read-only; `right[h]` and `left[h]` are the indices of
+    h·right(h) and h·left(h), or None where the step leaves the ball.
+    """
 
     def __init__(self, ball: CayleyBall, labels: dict):
         gens = ball.oracle.gens
+        right = []
+        left = []
         for h in range(len(ball)):
             label = labels.get(h)
             if label is None:
@@ -51,8 +58,12 @@ class GridPatch:
             for sym in (label.left, label.right):
                 if sym not in gens.inverse:
                     raise UnknownSymbol(f"label symbol {sym!r} is not a generator")
+            right.append(ball.edges.get((h, label.right)))
+            left.append(ball.edges.get((h, label.left)))
         self.ball = ball
-        self.labels = dict(labels)
+        self.labels = MappingProxyType(dict(labels))
+        self.right = tuple(right)
+        self.left = tuple(left)
 
     def label(self, h: int) -> GridLabel:
         return self.labels[h]
@@ -93,8 +104,10 @@ def check_grid_local(patch: GridPatch) -> LocalCheckReport:
     unchecked = 0
     for h in range(len(patch.ball)):
         label = patch.labels[h]
-        for direction, sym in (("right", label.right), ("left", label.left)):
-            partner = patch.ball.edges.get((h, sym))
+        for direction, sym, partner in (
+            ("right", label.right, patch.right[h]),
+            ("left", label.left, patch.left[h]),
+        ):
             if partner is None:
                 unchecked += 1
                 continue
@@ -109,9 +122,7 @@ def check_grid_local(patch: GridPatch) -> LocalCheckReport:
 
 def induced_step(patch: GridPatch, h: int, direction: int):
     """One step along the labelled line; None when it exits the ball."""
-    label = patch.labels[h]
-    sym = label.right if direction > 0 else label.left
-    return patch.ball.edges.get((h, sym))
+    return (patch.right if direction > 0 else patch.left)[h]
 
 
 @dataclass(frozen=True)
@@ -175,14 +186,23 @@ def from_translation_action(
 
 
 def _displacement(ball: CayleyBall, h: int, target) -> str:
-    """The first generator s with h·s equal to the target cell or word."""
+    """The first generator s with h·s equal to the target cell or word.
+
+    A word the ball resolves is matched through the edges; only a target
+    outside the ball is keyed, against the products that leave it too.
+    """
     symbols = ball.oracle.gens.symbols
-    if isinstance(target, int):
-        found = (s for s in symbols if ball.edges.get((h, s)) == target)
+    cell = target if isinstance(target, int) else ball.resolve(tuple(target))
+    if cell is not None:
+        found = (s for s in symbols if ball.edges.get((h, s)) == cell)
     else:
         key = ball.oracle.canonical_key(tuple(target))
         source = ball.elements[h]
-        found = (s for s in symbols if ball.oracle.canonical_key(source + (s,)) == key)
+        found = (
+            s
+            for s in symbols
+            if (h, s) not in ball.edges and ball.oracle.canonical_key(source + (s,)) == key
+        )
     sym = next(found, None)
     if sym is None:
         raise DisplacementNotGenerator(f"cell {h}: displacement to {target!r} is not a generator")
@@ -411,38 +431,41 @@ def grid_y_check(omega: ProductGridPatch, y: dict, sft: NNSFT2D) -> LocalCheckRe
     violations = []
     satisfied = 0
     unchecked = 0
-    for h1 in range(len(omega.patch1.ball)):
-        step1 = induced_step(omega.patch1, h1, +1)
-        for h2 in range(len(omega.patch2.ball)):
-            a = y[(h1, h2)]
-            if step1 is None:
+    right2 = omega.patch2.right
+    rows = [[y[(h1, h2)] for h2 in range(len(right2))] for h1 in range(len(omega.patch1.right))]
+    for h1, step1 in enumerate(omega.patch1.right):
+        row = rows[h1]
+        over = None if step1 is None else rows[step1]
+        for h2, step2 in enumerate(right2):
+            a = row[h2]
+            if over is None:
                 unchecked += 1
-            elif (a, y[(step1, h2)]) in sft.allowed_h:
+            elif (a, over[h2]) in sft.allowed_h:
                 satisfied += 1
             else:
-                violations.append(((h1, h2), "h", a, y[(step1, h2)]))
-            step2 = induced_step(omega.patch2, h2, +1)
+                violations.append(((h1, h2), "h", a, over[h2]))
             if step2 is None:
                 unchecked += 1
-            elif (a, y[(h1, step2)]) in sft.allowed_v:
+            elif (a, row[step2]) in sft.allowed_v:
                 satisfied += 1
             else:
-                violations.append(((h1, h2), "v", a, y[(h1, step2)]))
+                violations.append(((h1, h2), "v", a, row[step2]))
     return LocalCheckReport(violations, satisfied, unchecked)
 
 
 def _walk_line(patch: GridPatch, base: int, lo: int, hi: int):
     """Cells at offsets lo..hi−1 from base along the labels, else None."""
     cells = {0: base}
+    right, left = patch.right, patch.left
     cur = base
     for z in range(1, max(hi, 1)):
-        cur = induced_step(patch, cur, +1)
+        cur = right[cur]
         if cur is None:
             return None
         cells[z] = cur
     cur = base
     for z in range(-1, min(lo, 0) - 1, -1):
-        cur = induced_step(patch, cur, -1)
+        cur = left[cur]
         if cur is None:
             return None
         cells[z] = cur
@@ -471,6 +494,7 @@ def read_grid(omega: ProductGridPatch, y: dict, base, window) -> Patch2D:
 
 def _chains(patch: GridPatch):
     """Maximal label chains; each cell gets (chain id, coordinate)."""
+    right, left = patch.right, patch.left
     where = {}
     chains = []
     for h in range(len(patch.ball)):
@@ -479,7 +503,7 @@ def _chains(patch: GridPatch):
         cur = h
         steps = 0
         while True:
-            prev = induced_step(patch, cur, -1)
+            prev = left[cur]
             if prev is None or prev in where:
                 break
             if prev == cur or steps > len(patch.ball):
@@ -492,7 +516,7 @@ def _chains(patch: GridPatch):
         while cur is not None and cur not in where:
             where[cur] = (chain_id, len(chain))
             chain.append(cur)
-            nxt = induced_step(patch, cur, +1)
+            nxt = right[cur]
             if nxt == cur:
                 raise CycleDetected(f"cell {cur} is a label fixed point")
             cur = nxt
@@ -511,41 +535,55 @@ class SeedFailure:
     reason: str
 
 
+def _seed_coordinates(omega: ProductGridPatch) -> dict:
+    """Grid coordinates of every cell pair, orbit class by orbit class.
+
+    A class is a chain in each factor, (id1, id2) ↦ {(h1, h2): (x, y)} in
+    chain order.  The class of the identity pair is anchored so the
+    identity sits at (0, 0); every other class anchors its least cell
+    pair there.  Raises CycleDetected when a factor's labels close a cycle.
+    """
+    chains1, where1 = _chains(omega.patch1)
+    chains2, where2 = _chains(omega.patch2)
+    home = (where1[0][0], where2[0][0])
+    classes = {}
+    for id1, chain1 in enumerate(chains1):
+        for id2, chain2 in enumerate(chains2):
+            if (id1, id2) == home:
+                a1, a2 = where1[0][1], where2[0][1]
+            else:
+                a1, a2 = where1[min(chain1)][1], where2[min(chain2)][1]
+            classes[(id1, id2)] = {
+                (h1, h2): (where1[h1][1] - a1, where2[h2][1] - a2)
+                for h1 in chain1
+                for h2 in chain2
+            }
+    return classes
+
+
 def seed_grid_from_config(omega: ProductGridPatch, c: Patch2D, sft: NNSFT2D = None):
     """Spread a planar patch over a product ball along the grid labels.
 
-    Cells of the product ball fall into orbit classes (a chain in each
-    factor).  The class of the identity pair is anchored so the identity
-    reads c's cell (0,0); every other class anchors its least cell pair
-    at (0,0).  Returns a total configuration y with read_grid at the
-    identity pair reproducing c, or a SeedFailure when c does not cover
-    some class's coordinate span.
+    Each cell pair reads c at its grid coordinates (`_seed_coordinates`),
+    so read_grid at the identity pair reproduces c.  Returns that total
+    configuration y, or a SeedFailure when c does not cover some class's
+    coordinate span.
     """
     if sft is not None:
         bad = check_patch_nn(sft, c)
         if bad:
             return SeedFailure(f"source patch violates the local rule at {bad[0][0]}")
-    chains1, where1 = _chains(omega.patch1)
-    chains2, where2 = _chains(omega.patch2)
     y = {}
-    for id1, chain1 in enumerate(chains1):
-        for id2, chain2 in enumerate(chains2):
-            if where1[0][0] == id1 and where2[0][0] == id2:
-                a1, a2 = where1[0][1], where2[0][1]
-            else:
-                a1, a2 = where1[min(chain1)][1], where2[min(chain2)][1]
-            for h1 in chain1:
-                for h2 in chain2:
-                    x = where1[h1][1] - a1
-                    yy = where2[h2][1] - a2
-                    if not c.contains(x, yy):
-                        return SeedFailure(
-                            f"source patch misses cell ({x},{yy}) needed by class ({id1},{id2})"
-                        )
-                    val = c.get(x, yy)
-                    if val is None:
-                        return SeedFailure(f"source patch has a hole at ({x},{yy})")
-                    y[(h1, h2)] = val
+    for (id1, id2), cells in _seed_coordinates(omega).items():
+        for key, (x, yy) in cells.items():
+            if not c.contains(x, yy):
+                return SeedFailure(
+                    f"source patch misses cell ({x},{yy}) needed by class ({id1},{id2})"
+                )
+            val = c.get(x, yy)
+            if val is None:
+                return SeedFailure(f"source patch has a hole at ({x},{yy})")
+            y[key] = val
     return y
 
 

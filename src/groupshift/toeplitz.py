@@ -235,8 +235,31 @@ def action_layers(oracle: ActionOracle) -> tuple:
     return tuple(dict.fromkeys((oracle.identity, *oracle.generators)))
 
 
+def _decoded_layers(w: LayeredWord, T: ActionOracle):
+    """The decoded prefix of every layer, in `action_layers` order, or
+    None as soon as one layer does not decode."""
+    decoded = []
+    for s in action_layers(T):
+        bits = decode_procedure(w.layer(s))
+        if bits is None:
+            return None
+        decoded.append(bits)
+    return tuple(decoded)
+
+
+def _prefixes_forbidden(decoded: tuple, X: SetOracle, T: ActionOracle, budget: int):
+    """The oracle step of `top1d_forbidden`; the identity's prefix is first."""
+    base = decoded[0]
+    for s, bits in zip(action_layers(T), decoded):
+        if X.query(bits, budget) is Verdict.CERTIFIED_EMPTY:
+            return WindowVerdict.FORBIDDEN
+        if T.query(s, bits, base, budget) is Verdict.CERTIFIED_EMPTY:
+            return WindowVerdict.FORBIDDEN
+    return WindowVerdict.NOT_CERTIFIED
+
+
 def top1d_forbidden(
-    w: LayeredWord, X: SetOracle, T: ActionOracle, budget: int
+    w: LayeredWord, X: SetOracle, T: ActionOracle, budget: int, decided=None
 ) -> WindowVerdict:
     """Budgeted test whether a layered window is forbidden.
 
@@ -244,19 +267,17 @@ def top1d_forbidden(
     action generator plus the identity.  It is Forbidden when some layer
     fails to decode, or when the oracles certify — within the per-query
     budget — that some decoded prefix u(s) has empty cylinder in X, or
-    that [u(s)] misses the s-image of [u(identity)] ∩ X.
+    that [u(s)] misses the s-image of [u(identity)] ∩ X.  Past decoding
+    the verdict depends only on the decoded prefixes, so a caller that
+    tests many windows passes one dict as `decided`; it keeps the verdict
+    of each decoded tuple, and the oracles are asked once per tuple.
     """
-    symbols = action_layers(T)
-    decoded = {}
-    for s in symbols:
-        bits = decode_procedure(w.layer(s))
-        if bits is None:
-            return WindowVerdict.FORBIDDEN
-        decoded[s] = bits
-    base = decoded[T.identity]
-    for s in symbols:
-        if X.query(decoded[s], budget) is Verdict.CERTIFIED_EMPTY:
-            return WindowVerdict.FORBIDDEN
-        if T.query(s, decoded[s], base, budget) is Verdict.CERTIFIED_EMPTY:
-            return WindowVerdict.FORBIDDEN
-    return WindowVerdict.NOT_CERTIFIED
+    decoded = _decoded_layers(w, T)
+    if decoded is None:
+        return WindowVerdict.FORBIDDEN
+    if decided is None:
+        return _prefixes_forbidden(decoded, X, T, budget)
+    verdict = decided.get(decoded)
+    if verdict is None:
+        verdict = decided[decoded] = _prefixes_forbidden(decoded, X, T, budget)
+    return verdict

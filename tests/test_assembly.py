@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import functools
 import json
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshift import assembly
+from groupshift import assembly, toeplitz
 from groupshift.assembly import (
     UNDETERMINED,
     FactorContext,
@@ -44,23 +45,31 @@ from groupshift.errors import (
     OutOfBall,
     SchemaError,
     UndecodableWindow,
+    UnknownSymbol,
 )
 from groupshift.grid import (
+    CoverFailure,
     GridLabel,
     GridPatch,
     ProductGridPatch,
+    SeedFailure,
     _chains,
+    check_grid_local,
     from_translation_action,
+    grid_y_check,
+    path_cover_search,
     read_grid,
+    seed_grid_from_config,
 )
-from groupshift.groups import FreeAbelianOracle, cayley_ball
-from groupshift.shiftcore import Alphabet, Pattern, coding_from_pairs
+from groupshift.groups import FreeAbelianOracle, FreeGroupOracle, GrigorchukOracle, cayley_ball
+from groupshift.shiftcore import Alphabet, Patch2D, Pattern, Violations, coding_from_pairs
 from groupshift.toeplitz import (
     FILLER,
     LayeredWord,
     WindowVerdict,
     gamma_prefix,
     psi_encode,
+    psi_tilde,
     top1d_forbidden,
 )
 
@@ -418,8 +427,9 @@ def test_descriptor_roundtrip():
 
 
 def layered(ctx, symbols):
-    """Layered word of a run of symbols, read straight off the block map."""
-    records = [ctx.block_map[sym] for sym in symbols]
+    """Layered word of a run of symbols, read off the block map; a symbol
+    without a record raises UnknownSymbol, as in the library."""
+    records = [assembly._record(ctx, sym) for sym in symbols]
     columns = {s: "".join(r[i] for r in records) for i, s in enumerate(ctx.layers)}
     return LayeredWord(len(records), columns)
 
@@ -559,3 +569,281 @@ def test_each_distinct_window_is_tested_once(monkeypatch):
     rows, projection = assert_checkers_match_references(patch, ctx, codec, budget=100_000)
     assert rows == []
     assert calls == {"F1": len(set(windows)), "project": len(set(cells))}
+
+
+# Slice-by-slice references for the shared-grid paths: the witness seeds a
+# planar patch onto every slice, and F1, F3 and F4 redo each slice's grid
+# work with no memo at all.
+
+
+def reference_witness(ctx, g_ball, prefixes, omega_bar):
+    """One Patch2D per slice, spread by seed_grid_from_config."""
+    shell = cayley_ball(g_ball.oracle, g_ball.radius + 1)
+    gens = g_ball.oracle.gens
+    reverse = {}
+    for sym, record in ctx.block_map.items():
+        reverse.setdefault(record, sym)
+    span1, span2 = len(omega_bar.patch1.ball), len(omega_bar.patch2.ball)
+    positions = list(range(-span1, span1 + 1))
+    omega, y_sym = {}, {}
+    for g in range(len(g_ball)):
+        words = {}
+        for s in ctx.layers:
+            word = g_ball.elements[g] + (() if s == gens.identity else (gens.inverse[s],))
+            words[s] = prefixes[shell.elements[shell.resolve(word)]]
+        layered_word = psi_tilde(words, positions)
+        cells = {}
+        for j, x in enumerate(positions):
+            sym = reverse["".join(layered_word.layers[s][j] for s in ctx.layers)]
+            for yy in range(-span2, span2 + 1):
+                cells[(x, yy)] = sym
+        seeded = seed_grid_from_config(
+            omega_bar, Patch2D(-span1, -span2, 2 * span1 + 1, 2 * span2 + 1, cells)
+        )
+        assert not isinstance(seeded, SeedFailure)
+        omega[g] = omega_bar
+        for (h1, h2), sym in seeded.items():
+            y_sym[(g, h1, h2)] = sym
+    return FinalPatch(g_ball, omega, y_sym)
+
+
+def reference_F1(patch, ctx, budget):
+    rows = {g: [] for g in patch.omega}
+    for g, where, symbols in f1_windows(patch):
+        verdict = top1d_forbidden(layered(ctx, symbols), ctx.X, ctx.T, budget)
+        if verdict is WindowVerdict.FORBIDDEN:
+            rows[g].append((g, "row", where))
+    violations = Violations()
+    for g in range(len(patch.g_ball)):
+        slc = patch.omega[g]
+        for k, gp in ((1, slc.patch1), (2, slc.patch2)):
+            report = check_grid_local(gp)
+            violations.extend((g, "grid", k, v) for v in report.violations)
+            violations.tally(report)
+        report = grid_y_check(slc, patch.y_slice(g), ctx.sft)
+        violations.extend((g, "cell", v) for v in report.violations)
+        violations.tally(report)
+        try:
+            _chains(slc.patch1)
+        except CycleDetected:
+            violations.append((g, "cycle", 1))
+            continue
+        violations.extend(rows[g])
+    return violations
+
+
+def reference_F3(patch, ctx):
+    position = {s: i for i, s in enumerate(ctx.layers)}
+    gens = patch.g_ball.oracle.gens
+    violations = []
+    for g in range(len(patch.g_ball)):
+        slc = patch.omega[g]
+        for s in gens.symbols:
+            t = patch.g_ball.edges.get((g, gens.inverse[s]))
+            if s == gens.identity or t is None:
+                continue
+            for h1 in range(len(slc.patch1.ball)):
+                for h2 in range(len(slc.patch2.ball)):
+                    own = assembly._record(ctx, patch.y_sym[(g, h1, h2)])
+                    over = assembly._record(ctx, patch.y_sym[(t, h1, h2)])
+                    if own[position[s]] != over[position[ctx.T.identity]]:
+                        violations.append(((g, h1, h2), s))
+    return violations
+
+
+def reference_F4(patch, ctx):
+    """Every base's window read afresh with read_grid."""
+    need = 3**ctx.kappa + 1
+    violations = []
+    for g in range(len(patch.g_ball)):
+        slc = patch.omega[g]
+        if slc.patch1.ball.radius < need:
+            raise BallTooSmall(
+                f"row ball radius {slc.patch1.ball.radius} < {need} needed for kappa={ctx.kappa}"
+            )
+        y_slice = patch.y_slice(g)
+        ball1, ball2 = slc.patch1.ball, slc.patch2.ball
+        gens1, gens2 = ball1.oracle.gens, ball2.oracle.gens
+        bases = {}
+        for s1 in gens1.symbols:
+            for s2 in gens2.symbols:
+                idx1 = ball1.resolve(() if s1 == gens1.identity else (s1,))
+                idx2 = ball2.resolve(() if s2 == gens2.identity else (s2,))
+                if idx1 is not None and idx2 is not None:
+                    bases[(s1, s2)] = (idx1, idx2)
+        home = (gens1.identity, gens2.identity)
+        for m in range(ctx.kappa):
+            length = 3 ** (m + 1)
+            read = {}
+            for pair, base in bases.items():
+                row = read_grid(slc, y_slice, base, (0, 0, length, 1))
+                if row is None:
+                    read[pair] = (None, "unreadable")
+                    continue
+                window = layered(ctx, [row.get(x, 0) for x in range(length)])
+                try:
+                    read[pair] = (gamma_prefix(window, ctx.T.identity, depth=m), None)
+                except UndecodableWindow:
+                    read[pair] = (None, "undecodable")
+            reference, problem = read[home]
+            if problem is not None:
+                violations.append((g, m, home, problem))
+                continue
+            for pair, (value, problem) in read.items():
+                if pair == home:
+                    continue
+                if problem is not None:
+                    violations.append((g, m, pair, problem))
+                elif value[m] != reference[m]:
+                    violations.append((g, m, pair, "mismatch"))
+    return violations
+
+
+def outcome(check, *args):
+    """A checker's result, or the type and text of what it raised."""
+    try:
+        return check(*args)
+    except (UnknownSymbol, BallTooSmall) as exc:
+        return type(exc), str(exc)
+
+
+def assert_every_checker_matches(patch, ctx, codec, budget=20_000):
+    f1 = outcome(check_F1, patch, ctx, budget)
+    want = outcome(reference_F1, patch, ctx, budget)
+    assert f1 == want
+    if isinstance(f1, Violations):
+        assert (f1.satisfied, f1.unchecked) == (want.satisfied, want.unchecked)
+    assert outcome(check_F3, patch, ctx) == outcome(reference_F3, patch, ctx)
+    shallow = standard_context(ctx.X, ctx.T, 1)
+    for c in (ctx, shallow):
+        assert outcome(check_F4, patch, c) == outcome(reference_F4, patch, c)
+    projection = outcome(hat_phi_project, patch, ctx, codec)
+    want = outcome(reference_projection, patch, ctx, codec)
+    assert projection == want
+    if isinstance(projection, dict):
+        assert list(projection) == list(want)
+    return f1
+
+
+def z2_line_patch(radius, axis):
+    ball = cayley_ball(FreeAbelianOracle(2), radius)
+    succ = {h: ball.elements[h] + (axis,) for h in range(len(ball))}
+    pred = {h: ball.elements[h] + (axis + "-",) for h in range(len(ball))}
+    return from_translation_action(ball, succ, pred)
+
+
+def cover_patch(oracle, radius):
+    ball = cayley_ball(oracle, radius)
+    cover = path_cover_search(ball, 2)
+    assert not isinstance(cover, CoverFailure)
+    return from_translation_action(ball, cover.succ, cover.pred)
+
+
+# The (row grid, column grid) pair of each witness, by name.
+GRIDS = {
+    "z-lines": lambda: (line_patch(10), line_patch(2)),
+    "z2-lines": lambda: (z2_line_patch(4, "x"), z2_line_patch(2, "y")),
+    "free2-cover-4": lambda: (cover_patch(FreeGroupOracle(2), 4), line_patch(2)),
+    "grigorchuk-cover-6": lambda: (cover_patch(GrigorchukOracle(), 6), line_patch(2)),
+    "grigorchuk-cover-9": lambda: (cover_patch(GrigorchukOracle(), 9), line_patch(2)),
+}
+
+
+@functools.cache
+def grid_witness(name):
+    ctx, codec = golden_setup()
+    g_ball = line_ball(1)
+    prefixes = alternating_prefixes(codec, g_ball)
+    patch = witness_construct(ctx, g_ball, prefixes, ProductGridPatch(*GRIDS[name]()))
+    return patch, ctx, codec, prefixes
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_shared_grid_witness_matches_the_per_slice_seeding(name):
+    patch, ctx, codec, prefixes = grid_witness(name)
+    want = reference_witness(ctx, patch.g_ball, prefixes, patch.omega[0])
+    assert list(patch.y_sym.items()) == list(want.y_sym.items())
+    assert final_patch_to_descriptor(patch) == final_patch_to_descriptor(want)
+    assert assert_every_checker_matches(patch, ctx, codec) == []
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_checkers_match_the_references_on_corrupted_grid_witnesses(name):
+    patch, ctx, codec, _ = grid_witness(name)
+    rng = random.Random(name)
+    cells = sorted(patch.y_sym)
+    symbols = sorted(ctx.block_map)
+    reported = 0
+    for trial in range(4):
+        y = dict(patch.y_sym)
+        for cell in rng.sample(cells, 1 + trial):
+            y[cell] = rng.choice(symbols)
+        if trial == 3:
+            # Two unknown symbols: every checker raises at the first it meets.
+            y[rng.choice(cells)] = "?"
+            y[rng.choice(cells)] = "!"
+        f1 = assert_every_checker_matches(FinalPatch(patch.g_ball, patch.omega, y), ctx, codec)
+        reported += bool(f1)
+    assert reported
+
+
+def test_f1_on_equal_but_distinct_grids_and_on_a_shared_label_cycle():
+    patch, ctx, codec = shared_witness(10, 2)
+    bar = patch.omega[0]
+    # Equal grids built apart: each slice has its own GridPatch objects.
+    copies = {
+        g: ProductGridPatch(
+            GridPatch(bar.patch1.ball, dict(bar.patch1.labels)),
+            GridPatch(bar.patch2.ball, dict(bar.patch2.labels)),
+        )
+        for g in patch.omega
+    }
+    y = dict(patch.y_sym)
+    y[(1, bar.patch1.ball.index[("x",)], 0)] = "111"
+    for omega in (patch.omega, copies):
+        found = assert_every_checker_matches(FinalPatch(patch.g_ball, omega, y), ctx, codec)
+        assert found and all(v[0] == 1 for v in found)
+    # One shared grid whose rows close a label cycle: every slice says so.
+    ball = bar.patch1.ball
+    labels = dict(bar.patch1.labels)
+    labels[ball.index[("x", "x")]] = GridLabel("x-", "x-")
+    cyclic = ProductGridPatch(GridPatch(ball, labels), bar.patch2)
+    shared = FinalPatch(patch.g_ball, {g: cyclic for g in patch.omega}, patch.y_sym)
+    found = assert_every_checker_matches(shared, ctx, codec)
+    assert [v for v in found if v[1] == "cycle"] == [(g, "cycle", 1) for g in range(3)]
+    assert len([v for v in found if v[1] == "grid"]) == 3 * 2
+
+
+def test_each_decoded_prefix_tuple_is_decided_once(monkeypatch):
+    patch, ctx, codec = golden_witness(radius1=28, radius2=28)
+    windows = {symbols for _, _, symbols in f1_windows(patch)}
+    decoded = {toeplitz._decoded_layers(layered(ctx, symbols), ctx.T) for symbols in windows}
+    decoded.discard(None)
+    assert (len(windows), len(decoded)) == (58, 2)
+    calls = []
+    original = toeplitz._prefixes_forbidden
+    monkeypatch.setattr(
+        toeplitz, "_prefixes_forbidden", lambda *args: calls.append(args[0]) or original(*args)
+    )
+    assert check_F1(patch, ctx, budget=100_000) == []
+    assert sorted(calls) == sorted(decoded)
+
+
+def test_rebased_reads_disagreeing_below_the_first_bit():
+    # Column h2 = identity codes 000 and every other column 010, so the
+    # reads agree at depth 0 and differ at depth 1 between columns.
+    X = FullShiftSetOracle()
+    T = TrivialActionOracle(X, ("x", "x-"))
+    ctx = standard_context(X, T, 2)
+    ball1, ball2 = line_ball(10), line_ball(1)
+    y = {}
+    for h1 in range(len(ball1)):
+        for h2 in range(len(ball2)):
+            prefix = "000" if h2 == ball2.index[()] else "010"
+            y[(0, h1, h2)] = psi_encode(prefix, [position(ball1, h1)]) * 3
+    patch = FinalPatch(line_ball(0), {0: ProductGridPatch(line_patch(10), line_patch(1))}, y)
+    out = check_F4(patch, ctx)
+    assert out == reference_F4(patch, ctx)
+    assert {(m, pair, problem) for _, m, pair, problem in out} == {
+        (1, (s1, s2), "mismatch") for s1 in ("1", "x", "x-") for s2 in ("x", "x-")
+    }

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,7 @@ from groupshift.grid import (
 )
 from groupshift.groups import (
     FreeAbelianOracle,
+    FreeGroupOracle,
     GrigorchukOracle,
     cayley_ball,
     group_from_descriptor,
@@ -489,3 +491,197 @@ def test_grid_patch_dot_export():
     text = grid_patch_to_dot(line_patch(1))
     assert text.startswith("digraph")
     assert "->" in text
+
+
+def test_grid_patch_labels_are_read_only():
+    patch = line_patch(2)
+    with pytest.raises(TypeError):
+        patch.labels[0] = GridLabel("x", "x-")
+    with pytest.raises(TypeError):
+        del patch.labels[0]
+    copy = dict(patch.labels)
+    copy[0] = GridLabel("x", "x-")
+    changed = GridPatch(patch.ball, copy)
+    assert patch.labels[0] == GridLabel("x-", "x")
+    assert changed.right[0] == patch.left[0]
+    for gp in (patch, changed, plane_patch(3, "y")):
+        for h in range(len(gp.ball)):
+            label = gp.labels[h]
+            assert gp.right[h] == gp.ball.edges.get((h, label.right))
+            assert gp.left[h] == gp.ball.edges.get((h, label.left))
+
+
+def keyed_displacement(ball, h, target):
+    """The first s with key(h·s) = key(target), keying every product."""
+    key = ball.oracle.canonical_key(tuple(target))
+    source = ball.elements[h]
+    return next(
+        (s for s in ball.oracle.gens.symbols if ball.oracle.canonical_key(source + (s,)) == key),
+        None,
+    )
+
+
+def count_keys(monkeypatch, oracle):
+    calls = Counter()
+    original = oracle.canonical_key
+
+    def counting(word):
+        calls[tuple(word)] += 1
+        return original(word)
+
+    monkeypatch.setattr(oracle, "canonical_key", counting)
+    return calls
+
+
+def test_line_grid_keys_only_targets_outside_the_ball(monkeypatch):
+    ball = line_ball(19)
+    calls = count_keys(monkeypatch, ball.oracle)
+    patch = line_patch_on(ball)
+    assert all(label == GridLabel("x-", "x") for label in patch.labels.values())
+    # x^20 and x-^20 leave the ball: each is keyed by resolve and as the
+    # target, and only the one product that also leaves the ball is keyed.
+    outside = [("x",) * 20, ("x-",) * 20]
+    assert calls == Counter({word: 2 for word in outside}) + Counter(outside)
+
+
+def line_patch_on(ball):
+    succ = {h: ball.elements[h] + ("x",) for h in range(len(ball))}
+    pred = {h: ball.elements[h] + ("x-",) for h in range(len(ball))}
+    return from_translation_action(ball, succ, pred)
+
+
+@pytest.mark.parametrize(
+    "oracle, radius, step, back",
+    [
+        (FreeAbelianOracle(1), 6, "x", "x-"),
+        (FreeAbelianOracle(2), 4, "y", "y-"),
+        (FreeGroupOracle(2), 3, "y-", "y"),
+        (GrigorchukOracle(), 5, "a", "a"),
+        (GrigorchukOracle(), 5, "d", "c"),
+    ],
+)
+def test_word_targets_give_the_keyed_labels(monkeypatch, oracle, radius, step, back):
+    ball = cayley_ball(oracle, radius)
+    succ = {h: ball.elements[h] + (step,) for h in range(len(ball))}
+    pred = {h: ball.elements[h] + (back,) for h in range(len(ball))}
+    # Targets inside the ball, and some outside it, on every sphere.
+    assert any(ball.resolve(w) is None for w in succ.values())
+    expected = {
+        h: GridLabel(keyed_displacement(ball, h, pred[h]), keyed_displacement(ball, h, succ[h]))
+        for h in range(len(ball))
+    }
+    calls = count_keys(monkeypatch, ball.oracle)
+    patch = from_translation_action(ball, succ, pred)
+    assert dict(patch.labels) == expected
+    # Only words outside the ball are keyed: targets, and products that
+    # leave the ball as those targets do.
+    assert calls
+    assert all(ball.resolve(word) is None for word in calls)
+
+
+def reference_seed(omega, c, sft=None):
+    """Seeding class by class with its own chain walk, as a reference."""
+    if sft is not None:
+        bad = grid.check_patch_nn(sft, c)
+        if bad:
+            return SeedFailure(f"source patch violates the local rule at {bad[0][0]}")
+    chains1, where1 = grid._chains(omega.patch1)
+    chains2, where2 = grid._chains(omega.patch2)
+    y = {}
+    for id1, chain1 in enumerate(chains1):
+        for id2, chain2 in enumerate(chains2):
+            if where1[0][0] == id1 and where2[0][0] == id2:
+                a1, a2 = where1[0][1], where2[0][1]
+            else:
+                a1, a2 = where1[min(chain1)][1], where2[min(chain2)][1]
+            for h1 in chain1:
+                for h2 in chain2:
+                    x = where1[h1][1] - a1
+                    yy = where2[h2][1] - a2
+                    if not c.contains(x, yy):
+                        return SeedFailure(
+                            f"source patch misses cell ({x},{yy}) needed by class ({id1},{id2})"
+                        )
+                    val = c.get(x, yy)
+                    if val is None:
+                        return SeedFailure(f"source patch has a hole at ({x},{yy})")
+                    y[(h1, h2)] = val
+    return y
+
+
+def test_seed_matches_the_class_by_class_reference():
+    ball = cayley_ball(GrigorchukOracle(), 4)
+    cover = path_cover_search(ball, 2)
+    grids = [
+        ProductGridPatch(line_patch(2), line_patch(2)),
+        ProductGridPatch(plane_patch(2), line_patch(1)),
+        ProductGridPatch(
+            from_translation_action(ball, cover.succ, cover.pred, within=2), line_patch(2)
+        ),
+    ]
+    rng = random.Random(7)
+    for omega in grids:
+        for span in (1, 3, 9):
+            cells = {
+                (x, yy): rng.choice("01")
+                for x in range(-span, span + 1)
+                for yy in range(-span, span + 1)
+            }
+            holed = dict(cells)
+            for _ in range(3):
+                del holed[rng.choice(sorted(holed))]
+            for sft in (None, golden_h_sft()):
+                for chosen in (cells, holed):
+                    c = Patch2D(-span, -span, 2 * span + 1, 2 * span + 1, chosen)
+                    got, want = seed_grid_from_config(omega, c, sft), reference_seed(omega, c, sft)
+                    if isinstance(want, SeedFailure):
+                        assert isinstance(got, SeedFailure) and got.reason == want.reason
+                    else:
+                        assert list(got.items()) == list(want.items())
+
+
+def reference_y_check(omega, y, sft):
+    """Cell by cell, one label step at a time."""
+    violations, satisfied, unchecked = [], 0, 0
+    for h1 in range(len(omega.patch1.ball)):
+        for h2 in range(len(omega.patch2.ball)):
+            a = y[(h1, h2)]
+            for kind, step, allowed in (
+                ("h", induced_step(omega.patch1, h1, +1), sft.allowed_h),
+                ("v", induced_step(omega.patch2, h2, +1), sft.allowed_v),
+            ):
+                if step is None:
+                    unchecked += 1
+                    continue
+                b = y[(step, h2)] if kind == "h" else y[(h1, step)]
+                if (a, b) in allowed:
+                    satisfied += 1
+                else:
+                    violations.append(((h1, h2), kind, a, b))
+    return violations, satisfied, unchecked
+
+
+def test_grid_y_check_matches_the_cell_by_cell_reference():
+    ball = cayley_ball(GrigorchukOracle(), 4)
+    cover = path_cover_search(ball, 2)
+    grids = [
+        ProductGridPatch(line_patch(3), line_patch(2)),
+        ProductGridPatch(plane_patch(2), plane_patch(2, "y")),
+        ProductGridPatch(from_translation_action(ball, cover.succ, cover.pred), line_patch(1)),
+    ]
+    vertical_golden = NNSFT2D(
+        Alphabet(("0", "1")), golden_h_sft().allowed_h, golden_h_sft().allowed_h
+    )
+    rng = random.Random(11)
+    for omega in grids:
+        for density in (0.0, 0.02, 0.3):
+            y = {
+                (h1, h2): "1" if rng.random() < density else "0"
+                for h1 in range(len(omega.patch1.ball))
+                for h2 in range(len(omega.patch2.ball))
+            }
+            for sft in (golden_h_sft(), vertical_golden):
+                report = grid_y_check(omega, y, sft)
+                assert (report.violations, report.satisfied, report.unchecked) == (
+                    reference_y_check(omega, y, sft)
+                )
