@@ -47,7 +47,7 @@ from .groups import (
     cells_to_words,
 )
 from .shiftcore import NNSFT2D, Alphabet, Pattern, Violations
-from .toeplitz import FILLER, LayeredWord, WindowVerdict, action_layers, gamma_prefix
+from .toeplitz import FILLER, LayeredWord, WindowVerdict, action_layers, decode_procedure
 from .toeplitz import psi_tilde, top1d_forbidden
 
 
@@ -182,7 +182,14 @@ def _layered(ctx, symbols) -> LayeredWord:
     """Layered word of a run of vertical-shift symbols, one record each."""
     records = [_record(ctx, sym) for sym in symbols]
     columns = map("".join, zip(*records))
-    return LayeredWord(len(records), dict(zip(ctx.layers, columns)), 0)
+    return LayeredWord(len(records), dict(zip(ctx.layers, columns)))
+
+
+def _identity_prefix(ctx, symbols):
+    """The prefix decoded from the identity layer, the first of every
+    record, of a power-of-three run of symbols; None when it does not
+    decode."""
+    return decode_procedure("".join(_record(ctx, sym)[0] for sym in symbols))
 
 
 def _row_cells(patch: GridPatch, h: int, length: int):
@@ -335,11 +342,8 @@ def check_F4(patch: FinalPatch, ctx: FactorContext) -> list:
         # The window's length, 3^(m+1), fixes the depth.
         symbols = tuple(y_sym[(g, h1, h2)] for h1 in cells)
         if symbols not in decoded:
-            window = _layered(ctx, symbols)
-            try:
-                decoded[symbols] = gamma_prefix(window, ctx.T.identity, depth=m), None
-            except UndecodableWindow:
-                decoded[symbols] = None, "undecodable"
+            bits = _identity_prefix(ctx, symbols)
+            decoded[symbols] = (None, "undecodable") if bits is None else (bits, None)
         return decoded[symbols]
 
     for g in range(len(patch.g_ball)):
@@ -416,8 +420,10 @@ def factor_phi(patch: FinalPatch, ctx: FactorContext, n: int, at=()) -> str:
     cells = _row_cells(slc.patch1, slc.patch1.ball.index[()], length)
     if cells is None:
         raise UndecodableWindow("the rightward walk leaves the grid before the window ends")
-    window = _layered(ctx, (patch.y_sym[(g, h1, h2)] for h1 in cells))
-    return gamma_prefix(window, ctx.T.identity, depth=n)
+    bits = _identity_prefix(ctx, (patch.y_sym[(g, h1, h2)] for h1 in cells))
+    if bits is None:
+        raise UndecodableWindow(f"layer {ctx.T.identity!r} does not decode at depth {n}")
+    return bits
 
 
 def witness_construct(
@@ -509,12 +515,8 @@ def hat_phi_project(patch: FinalPatch, ctx: FactorContext, codec: SubshiftCodec)
     length = 3**ctx.kappa
 
     def decode(symbols):
-        window = _layered(ctx, symbols)
-        try:
-            bits = gamma_prefix(window, ctx.T.identity, depth=ctx.kappa - 1)
-        except UndecodableWindow:
-            return UNDETERMINED
-        sym = codec.decode_block(bits)
+        bits = _identity_prefix(ctx, symbols)
+        sym = None if bits is None else codec.decode_block(bits)
         return UNDETERMINED if sym is None else sym
 
     projection = {}

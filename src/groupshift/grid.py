@@ -65,9 +65,6 @@ class GridPatch:
         self.right = tuple(right)
         self.left = tuple(left)
 
-    def label(self, h: int) -> GridLabel:
-        return self.labels[h]
-
 
 @dataclass(frozen=True, eq=False)
 class ProductGridPatch:

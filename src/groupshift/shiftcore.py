@@ -40,9 +40,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def index(self, sym) -> int:
-        return self.symbols.index(sym)
-
 
 @dataclass(frozen=True, eq=False)
 class Pattern:
@@ -149,9 +146,6 @@ class Patch2D:
         for y in range(self.y0, self.y0 + self.height):
             for x in range(self.x0, self.x0 + self.width):
                 yield (x, y)
-
-    def holes(self) -> list:
-        return [(x, y) for (x, y) in self.positions() if self.get(x, y) is HOLE]
 
     def translated(self, dx: int, dy: int) -> "Patch2D":
         return Patch2D(

@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    BadLength,
-    InsufficientPrefix,
-    UndecodableWindow,
-    UnknownSymbol,
-)
+from .errors import BadLength, InsufficientPrefix, UnknownSymbol
 from .effective import ActionOracle, SetOracle, Verdict, _check_binary
 
 FILLER = "␣"
@@ -89,24 +84,22 @@ def cyclic_decompose(v: str):
     _check_tword(v)
     if not _power_of_three(len(v)):
         raise BadLength(f"length {len(v)} is not a power of three (≥ 3)")
-    length = len(v)
+    return _split(v)
+
+
+def _split(v: str):
+    """`cyclic_decompose` of a word already checked.
+
+    Since 3 divides the length, slot i of every block of phase p sits at
+    the positions ≡ p + i (mod 3), so each slot kind is one stride slice
+    and the residues need no wrap-around.
+    """
+    blank = FILLER * (len(v) // 3)
     for phase in range(3):
-        bit = None
-        ok = True
-        for i in range(length // 3):
-            middle = v[(phase + 3 * i + 1) % length]
-            last = v[(phase + 3 * i + 2) % length]
-            if middle not in "01" or last != FILLER:
-                ok = False
-                break
-            if bit is None:
-                bit = middle
-            elif bit != middle:
-                ok = False
-                break
-        if ok and bit is not None:
-            residues = "".join(v[(phase + 3 * i) % length] for i in range(length // 3))
-            return bit, residues
+        middle = v[(phase + 1) % 3 :: 3]
+        bit = middle[0]
+        if bit in "01" and middle == bit * len(middle) and v[(phase + 2) % 3 :: 3] == blank:
+            return bit, v[phase::3]
     return None
 
 
@@ -119,10 +112,11 @@ def decode_procedure(w: str):
     """
     if not _power_of_three(len(w)):
         raise BadLength(f"length {len(w)} is not a power of three (≥ 3)")
+    _check_tword(w)
     bits = []
     current = w
     while len(current) >= 3:
-        step = cyclic_decompose(current)
+        step = _split(current)
         if step is None:
             return None
         bit, current = step
@@ -132,15 +126,10 @@ def decode_procedure(w: str):
 
 @dataclass(frozen=True, eq=False)
 class LayeredWord:
-    """One filler-coded word per generator, sharing a position window.
-
-    `offset` is the absolute position of the first column; all layers
-    have the same length.
-    """
+    """One filler-coded word per generator; all layers have one length."""
 
     length: int
     layers: dict
-    offset: int = 0
 
     def __post_init__(self):
         if self.length <= 0:
@@ -159,17 +148,6 @@ class LayeredWord:
             raise UnknownSymbol(f"no layer for generator {s!r}")
         return self.layers[s]
 
-    def window(self, start: int, length: int) -> "LayeredWord":
-        """Sub-window by absolute positions."""
-        lo = start - self.offset
-        if lo < 0 or lo + length > self.length:
-            raise ValueError("window exceeds the stored range")
-        return LayeredWord(
-            length,
-            {s: word[lo : lo + length] for s, word in self.layers.items()},
-            start,
-        )
-
 
 def psi_tilde(prefixes: dict, positions) -> LayeredWord:
     """Layered encoding: layer s spreads the caller-supplied prefix for s.
@@ -184,43 +162,7 @@ def psi_tilde(prefixes: dict, positions) -> LayeredWord:
     if not positions:
         raise BadLength("empty position range")
     layers = {s: psi_encode(p, positions) for s, p in prefixes.items()}
-    return LayeredWord(len(positions), layers, positions[0])
-
-
-def gamma_prefix(window: LayeredWord, s: str, depth=None) -> str:
-    """Bit-prefix read from the leftmost aligned block of one layer.
-
-    An aligned block starts at a multiple of 3ⁿ⁺¹; all aligned blocks of
-    a window decode identically, so the leftmost is fixed for
-    determinism.  `depth` selects n; by default the largest n whose
-    aligned block fits.  Raises UndecodableWindow when no aligned block
-    fits or the block does not decode.
-    """
-    layer = window.layer(s)
-    if depth is None:
-        depth = 0
-        while _aligned_start(window, depth + 1) is not None:
-            depth += 1
-        if _aligned_start(window, depth) is None:
-            raise UndecodableWindow("window too short for any aligned block")
-    start = _aligned_start(window, depth)
-    if start is None:
-        raise UndecodableWindow(f"no aligned block of depth {depth} fits")
-    block_len = 3 ** (depth + 1)
-    lo = start - window.offset
-    bits = decode_procedure(layer[lo : lo + block_len])
-    if bits is None:
-        raise UndecodableWindow(f"layer {s!r} does not decode at depth {depth}")
-    return bits
-
-
-def _aligned_start(window: LayeredWord, depth: int):
-    """Absolute start of the leftmost aligned 3^(depth+1)-block, or None."""
-    block_len = 3 ** (depth + 1)
-    start = -(-window.offset // block_len) * block_len
-    if start + block_len <= window.offset + window.length:
-        return start
-    return None
+    return LayeredWord(len(positions), layers)
 
 
 class WindowVerdict(Enum):

@@ -67,7 +67,7 @@ from groupshift.toeplitz import (
     FILLER,
     LayeredWord,
     WindowVerdict,
-    gamma_prefix,
+    decode_procedure,
     psi_encode,
     psi_tilde,
     top1d_forbidden,
@@ -342,8 +342,10 @@ def test_corrupted_window_fails_the_factor_map():
     y = dict(patch.y_sym)
     y[(0, h1, 0)] = "111"
     broken = FinalPatch(patch.g_ball, patch.omega, y)
-    with pytest.raises(UndecodableWindow):
+    with pytest.raises(UndecodableWindow) as caught:
         factor_phi(broken, ctx, 1)
+    # `final phi` reports this text as its error.
+    assert str(caught.value) == "layer '1' does not decode at depth 1"
 
 
 def test_witness_needs_complete_orbit_data():
@@ -482,10 +484,7 @@ def reference_projection(patch, ctx, codec):
     for cell, symbols in projection_windows(patch, ctx):
         out[cell] = UNDETERMINED
         if symbols is not None:
-            try:
-                bits = gamma_prefix(layered(ctx, symbols), ctx.T.identity, depth=ctx.kappa - 1)
-            except UndecodableWindow:
-                continue
+            bits = decode_procedure(layered(ctx, symbols).layer(ctx.T.identity))
             out[cell] = reverse.get(bits, UNDETERMINED)
     return out
 
@@ -565,7 +564,7 @@ def test_each_distinct_window_is_tested_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(assembly, "top1d_forbidden", counted("F1", top1d_forbidden))
-    monkeypatch.setattr(assembly, "gamma_prefix", counted("project", gamma_prefix))
+    monkeypatch.setattr(assembly, "decode_procedure", counted("project", decode_procedure))
     rows, projection = assert_checkers_match_references(patch, ctx, codec, budget=100_000)
     assert rows == []
     assert calls == {"F1": len(set(windows)), "project": len(set(cells))}
@@ -681,10 +680,8 @@ def reference_F4(patch, ctx):
                     read[pair] = (None, "unreadable")
                     continue
                 window = layered(ctx, [row.get(x, 0) for x in range(length)])
-                try:
-                    read[pair] = (gamma_prefix(window, ctx.T.identity, depth=m), None)
-                except UndecodableWindow:
-                    read[pair] = (None, "undecodable")
+                bits = decode_procedure(window.layer(ctx.T.identity))
+                read[pair] = (None, "undecodable") if bits is None else (bits, None)
             reference, problem = read[home]
             if problem is not None:
                 violations.append((g, m, home, problem))

@@ -590,6 +590,21 @@ def test_final_phi_reads_the_coded_prefix(tmp_path, capsys):
     assert report(out)["prefix"] == "10"
 
 
+def test_final_phi_reports_an_undecodable_window(tmp_path, capsys):
+    ctx, witness = final_fixture(tmp_path)
+    capsys.readouterr()
+    stored = json.loads((tmp_path / "witness.json").read_text(encoding="utf-8"))
+    stored["patch"]["y"][""]["x"][""] = "111"  # bits where the coding has filler
+    broken = write(tmp_path, "broken.json", stored)
+    code, out, err = run_cli(
+        capsys, ["final", "phi", "--ctx", ctx, "--patch", broken, "--depth", "1"]
+    )
+    assert (code, err) == (1, "")
+    obj = report(out)
+    assert obj["prefix"] is None
+    assert obj["error"] == "layer '1' does not decode at depth 1"
+
+
 def test_final_project_compares_patterns(tmp_path, capsys):
     ctx, witness = final_fixture(tmp_path)
     capsys.readouterr()

@@ -325,7 +325,7 @@ def test_cover_search_moves_past_pairs_that_close_cycles(monkeypatch):
     assert exchanges
     # (b, c) and (b, d) generate Klein four-groups; the cover uses a.
     patch = from_translation_action(ball, cover.succ, cover.pred, within=3)
-    assert "a" in {patch.label(h).right for h in range(len(patch.ball))}
+    assert "a" in {patch.labels[h].right for h in range(len(patch.ball))}
 
 
 def test_interior_mutations_of_the_plane_patch_are_visible():

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupshift.effective import (
     EmptySetOracle,
@@ -15,21 +17,16 @@ from groupshift.effective import (
     rho_action_oracle,
     rho_set_oracle,
 )
-from groupshift.errors import (
-    BadLength,
-    InsufficientPrefix,
-    UndecodableWindow,
-    UnknownSymbol,
-)
+from groupshift.errors import BadLength, InsufficientPrefix, UnknownSymbol
 from groupshift.groups import FreeAbelianOracle
 from groupshift.shiftcore import Alphabet, coding_from_pairs
 from groupshift.toeplitz import (
     FILLER,
+    TSYMS,
     LayeredWord,
     WindowVerdict,
     cyclic_decompose,
     decode_procedure,
-    gamma_prefix,
     psi_encode,
     psi_tilde,
     symbol_depth,
@@ -140,15 +137,96 @@ def test_roundtrip_over_all_short_prefixes_and_offsets():
             assert decode_procedure(window) == x
 
 
+# The character-by-character split that the stride slices replaced, and
+# the decoder built on it, which checks the word again in every round.
+
+POWERS_OF_THREE = {3**k for k in range(1, 16)}
+
+
+def reference_decompose(v):
+    for ch in v:
+        if ch not in TSYMS:
+            raise UnknownSymbol(f"expected 0, 1 or {FILLER!r}, found {ch!r}")
+    if len(v) not in POWERS_OF_THREE:
+        raise BadLength(f"length {len(v)} is not a power of three (≥ 3)")
+    length = len(v)
+    for phase in range(3):
+        bit = None
+        ok = True
+        for i in range(length // 3):
+            middle = v[(phase + 3 * i + 1) % length]
+            last = v[(phase + 3 * i + 2) % length]
+            if middle not in "01" or last != FILLER:
+                ok = False
+                break
+            if bit is None:
+                bit = middle
+            elif bit != middle:
+                ok = False
+                break
+        if ok and bit is not None:
+            return bit, "".join(v[(phase + 3 * i) % length] for i in range(length // 3))
+    return None
+
+
+def reference_decode(w):
+    if len(w) not in POWERS_OF_THREE:
+        raise BadLength(f"length {len(w)} is not a power of three (≥ 3)")
+    bits = []
+    while len(w) >= 3:
+        step = reference_decompose(w)
+        if step is None:
+            return None
+        bit, w = step
+        bits.append(bit)
+    return "".join(bits)
+
+
+def outcome(f, word):
+    """f(word), or the type and text of what it raised."""
+    try:
+        return f(word)
+    except (BadLength, UnknownSymbol) as exc:
+        return type(exc), str(exc)
+
+
+def test_stride_split_matches_the_reference_on_every_short_word():
+    words = itertools.chain(
+        ("".join(w) for n in (3, 9) for w in itertools.product(TSYMS, repeat=n)),
+        # Bad lengths, foreign symbols, and both at once.
+        ("".join(w) for n in range(5) for w in itertools.product("01x" + FILLER, repeat=n)),
+    )
+    for word in words:
+        assert outcome(cyclic_decompose, word) == outcome(reference_decompose, word)
+        assert outcome(decode_procedure, word) == outcome(reference_decode, word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.integers(-243, 243),
+    length=st.sampled_from([27, 81]),
+    bits=st.text("01", min_size=6, max_size=6),
+    changes=st.lists(st.tuples(st.integers(0, 80), st.sampled_from(TSYMS)), max_size=2),
+)
+def test_stride_split_matches_the_reference_near_spreads(start, length, bits, changes):
+    # Positions within 324 of 0 have depth at most 5, so six bits cover them.
+    word = list(psi_encode(bits, range(start, start + length)))
+    for at, sym in changes:
+        word[at % length] = sym
+    word = "".join(word)
+    assert cyclic_decompose(word) == reference_decompose(word)
+    assert decode_procedure(word) == reference_decode(word)
+    if not changes:
+        assert decode_procedure(word) == bits[: {27: 3, 81: 4}[length]]
+
+
 def test_layered_word_validation():
     with pytest.raises(BadLength):
         LayeredWord(3, {"1": "01"})
     with pytest.raises(UnknownSymbol):
         LayeredWord(2, {"1": "0x"})
-    word = LayeredWord(3, {"1": "01" + FILLER, "x": FILLER * 3}, offset=6)
-    sub = word.window(7, 2)
-    assert sub.layer("1") == "1" + FILLER
-    assert sub.offset == 7
+    word = LayeredWord(3, {"1": "01" + FILLER, "x": FILLER * 3})
+    assert word.layer("1") == "01" + FILLER
     with pytest.raises(UnknownSymbol):
         word.layer("y")
 
@@ -157,7 +235,7 @@ def test_psi_tilde_builds_one_layer_per_prefix():
     layered = psi_tilde({"1": "0101", "x": "1010"}, range(81))
     assert layered.layer("1") == psi_encode("0101", range(81))
     assert layered.layer("x") == psi_encode("1010", range(81))
-    assert layered.length == 81 and layered.offset == 0
+    assert layered.length == 81
     with pytest.raises(BadLength):
         psi_tilde({"1": "01", "x": "0"}, range(9))
 
@@ -166,42 +244,6 @@ def test_psi_tilde_constant_layers_for_equal_prefixes():
     layered = psi_tilde({s: "01" for s in ("1", "x", "x-")}, range(9))
     words = set(layered.layers.values())
     assert len(words) == 1
-
-
-def test_gamma_reads_known_spread():
-    window = LayeredWord(27, {"1": SPREAD_010})
-    assert gamma_prefix(window, "1") == "010"
-    assert gamma_prefix(window, "1", depth=1) == "01"
-
-
-def test_gamma_equal_prefixes_for_equal_layers():
-    layered = psi_tilde({s: "01" for s in ("1", "x", "x-")}, range(9))
-    for s in ("1", "x", "x-"):
-        assert gamma_prefix(layered, s) == "01"
-
-
-def test_gamma_is_block_choice_independent():
-    rng = random.Random(83)
-    for m in (1, 2, 3):
-        block = 3**m
-        for _ in range(10):
-            x = "".join(rng.choice("01") for _ in range(m))
-            layered = psi_tilde({"1": x + "0"}, range(2 * block))
-            first = layered.window(0, block)
-            second = layered.window(block, block)
-            assert gamma_prefix(first, "1", depth=m - 1) == x
-            assert gamma_prefix(second, "1", depth=m - 1) == x
-            assert gamma_prefix(layered, "1", depth=m - 1) == x
-
-
-def test_gamma_failure_modes():
-    blank = LayeredWord(9, {"1": FILLER * 9})
-    with pytest.raises(UndecodableWindow):
-        gamma_prefix(blank, "1")
-    # No aligned three-block fits in [1, 3).
-    tiny = LayeredWord(2, {"1": "0" + FILLER}, offset=1)
-    with pytest.raises(UndecodableWindow):
-        gamma_prefix(tiny, "1")
 
 
 def test_blank_layer_is_forbidden():
@@ -268,4 +310,4 @@ def test_genuine_orbit_windows_are_never_forbidden():
             layered = psi_tilde(prefixes, range(3**m))
             assert top1d_forbidden(layered, X, T, 100_000) is WindowVerdict.NOT_CERTIFIED
             for s in shifts:
-                assert gamma_prefix(layered, s) == prefixes[s]
+                assert decode_procedure(layered.layer(s)) == prefixes[s]

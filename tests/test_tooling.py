@@ -1,0 +1,45 @@
+"""The benchmark's tracer finds every library function it wraps."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def timed_targets():
+    """The "module:attribute" targets of `TIMED`, read from the source."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TIMED" for t in node.targets
+        ):
+            return [where for _, where, _, _ in ast.literal_eval(node.value)]
+    raise AssertionError("bench/tracing.py defines no TIMED table")
+
+
+def test_every_traced_groupshift_target_resolves():
+    # A deleted or renamed target would stop `--trace 1` runs with an
+    # AttributeError or KeyError, or trace nothing at all.
+    targets = [w for w in timed_targets() if w.startswith("groupshift.")]
+    assert targets
+    for where in targets:
+        module_name, _, attr = where.partition(":")
+        module = importlib.import_module(module_name)
+        if "." not in attr:
+            assert callable(getattr(module, attr, None)), where
+            continue
+        cls_name, method = attr.split(".")
+        if cls_name == "*":
+            # The tracer wraps every group oracle class that defines it.
+            owners = [
+                cls
+                for cls in vars(module).values()
+                if inspect.isclass(cls) and issubclass(cls, module.GroupOracle) and method in vars(cls)
+            ]
+            assert owners, where
+        else:
+            assert method in vars(getattr(module, cls_name)), where
