@@ -123,35 +123,55 @@ def standard_context(X: SetOracle, T: ActionOracle, kappa: int) -> FactorContext
 
 
 class FinalPatch:
-    """A grid slice and a record for every cell of a base-group ball."""
+    """A grid slice and a record for every cell of a base-group ball.
+
+    Every slice has one ball shape, n1 × n2 cell pairs, and slices[g] is
+    the tuple of slice g's records in cell-index order: the record of
+    (h1, h2) at h1 * n2 + h2.  `y_sym` gives the records keyed by
+    (g, h1, h2), as a dict built afresh on each read.
+    """
 
     def __init__(self, g_ball: CayleyBall, omega: dict, y_sym: dict):
-        sizes = None
-        for g in range(len(g_ball)):
-            slc = omega.get(g)
-            if slc is None:
-                raise SchemaError(f"omega[{g}]", "every base cell needs a grid slice")
-            shape = (
-                len(slc.patch1.ball),
-                len(slc.patch2.ball),
-                slc.patch1.ball.radius,
-                slc.patch2.ball.radius,
-            )
-            if sizes is None:
-                sizes = shape
-            elif shape != sizes:
-                raise SchemaError(f"omega[{g}]", "grid slices must share the ball shape")
-        for g in range(len(g_ball)):
-            slc = omega[g]
-            for h1 in range(len(slc.patch1.ball)):
-                for h2 in range(len(slc.patch2.ball)):
-                    if (g, h1, h2) not in y_sym:
-                        raise SchemaError(
-                            f"y[{g},{h1},{h2}]", "records must cover the product ball"
-                        )
+        n1, n2 = _slice_shape(g_ball, omega)
+        cells = [(h1, h2) for h1 in range(n1) for h2 in range(n2)]
+        slices = [[y_sym.get((g, *c)) for c in cells] for g in range(len(g_ball))]
+        self._store(g_ball, omega, slices)
+        # Every cell of the product ball has a record, so more keys name cells outside it.
+        if len(y_sym) > len(g_ball) * len(cells):
+            inside = set(itertools.product(range(len(g_ball)), range(n1), range(n2)))
+            key = next(k for k in y_sym if k not in inside)
+            raise SchemaError(f"y[{','.join(map(str, key))}]", "lies outside the product ball")
+
+    @classmethod
+    def _of_slices(cls, g_ball: CayleyBall, omega: dict, slices) -> "FinalPatch":
+        """A patch of slice records in cell-index order, None where missing."""
+        patch = cls.__new__(cls)
+        patch._store(g_ball, omega, slices)
+        return patch
+
+    def _store(self, g_ball, omega, slices):
+        self.n1, self.n2 = _slice_shape(g_ball, omega)
+        for g, records in enumerate(slices):
+            if None in records:
+                h1, h2 = divmod(records.index(None), self.n2)
+                raise SchemaError(f"y[{g},{h1},{h2}]", "records must cover the product ball")
         self.g_ball = g_ball
         self.omega = dict(omega)
-        self.y_sym = dict(y_sym)
+        self.slices = tuple(map(tuple, slices))
+
+    @property
+    def y_sym(self) -> dict:
+        n2 = self.n2
+        return {
+            (g, *divmod(i, n2)): sym
+            for g, records in enumerate(self.slices)
+            for i, sym in enumerate(records)
+        }
+
+    def rows(self, g: int) -> list:
+        """Slice g's records row by row: rows[h1][h2]."""
+        records, n2 = self.slices[g], self.n2
+        return [records[i : i + n2] for i in range(0, len(records), n2)]
 
     def cell_balls(self, key) -> tuple:
         """The base ball and the two grid balls of a (g, h1, h2) cell."""
@@ -162,13 +182,26 @@ class FinalPatch:
         slc = self.omega[g]
         return (slc.patch1.labels[h1], slc.patch2.labels[h2])
 
-    def y_slice(self, g: int) -> dict:
-        slc = self.omega[g]
-        return {
-            (h1, h2): self.y_sym[(g, h1, h2)]
-            for h1 in range(len(slc.patch1.ball))
-            for h2 in range(len(slc.patch2.ball))
-        }
+
+def _slice_shape(g_ball: CayleyBall, omega: dict) -> tuple:
+    """(n1, n2) of the grid slices, which must cover the base ball and share
+    one ball shape."""
+    sizes = None
+    for g in range(len(g_ball)):
+        slc = omega.get(g)
+        if slc is None:
+            raise SchemaError(f"omega[{g}]", "every base cell needs a grid slice")
+        shape = (
+            len(slc.patch1.ball),
+            len(slc.patch2.ball),
+            slc.patch1.ball.radius,
+            slc.patch2.ball.radius,
+        )
+        if sizes is None:
+            sizes = shape
+        elif shape != sizes:
+            raise SchemaError(f"omega[{g}]", "grid slices must share the ball shape")
+    return sizes[:2]
 
 
 def _record(ctx: FactorContext, sym) -> str:
@@ -234,8 +267,8 @@ def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Vio
                 report = local[gp] = check_grid_local(gp)
             violations.extend((g, "grid", k, v) for v in report.violations)
             violations.tally(report)
-        y_slice = patch.y_slice(g)
-        report = grid_y_check(slc, y_slice, ctx.sft)
+        rows = patch.rows(g)
+        report = grid_y_check(slc, rows, ctx.sft)
         violations.extend((g, "cell", v) for v in report.violations)
         violations.tally(report)
         if slc.patch1 not in chained:
@@ -254,8 +287,8 @@ def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Vio
             while 3 ** (depth + 2) <= len(chain):
                 depth += 1
             length = 3 ** (depth + 1)
-            for h2 in range(len(slc.patch2.ball)):
-                row = tuple(y_slice[(h1, h2)] for h1 in chain)
+            # Row h2 of the zipped chain rows is the chain's row in column h2.
+            for h2, row in enumerate(zip(*(rows[h1] for h1 in chain))):
                 if row not in bad_offsets:
                     bad_offsets[row] = [
                         offset
@@ -288,16 +321,26 @@ def check_F2(patch: FinalPatch) -> list:
 
 
 def check_F3(patch: FinalPatch, ctx: FactorContext) -> list:
-    """Layer s of a record must repeat layer identity one base step over."""
+    """Layer s of a record must repeat layer identity one base step over.
+
+    Each slice is read once per call into one string, its records end to
+    end, so a layer's characters are one stride slice of it; cells are
+    walked only where two such columns differ.
+    """
     layers = ctx.layers
+    width = len(layers)
     position = {s: i for i, s in enumerate(layers)}
     identity_pos = position[ctx.T.identity]
-    records = ctx.block_map
-    y_sym = patch.y_sym
     gens = patch.g_ball.oracle.gens
+    n2 = patch.n2
+    joined = []
+    for records in patch.slices:
+        try:
+            joined.append("".join(map(ctx.block_map.get, records)))
+        except TypeError:  # some symbol has no record
+            joined.append(None)
     violations = []
     for g in range(len(patch.g_ball)):
-        slc = patch.omega[g]
         for s in gens.symbols:
             if s == gens.identity:
                 continue
@@ -306,15 +349,17 @@ def check_F3(patch: FinalPatch, ctx: FactorContext) -> list:
             t = patch.g_ball.edges.get((g, gens.inverse[s]))
             if t is None:
                 continue
-            layer = position[s]
-            for h1 in range(len(slc.patch1.ball)):
-                for h2 in range(len(slc.patch2.ball)):
-                    a, b = y_sym[(g, h1, h2)], y_sym[(t, h1, h2)]
-                    # Records are non-empty; _record raises for a symbol without one.
-                    own = records.get(a) or _record(ctx, a)
-                    over = records.get(b) or _record(ctx, b)
-                    if own[layer] != over[identity_pos]:
-                        violations.append(((g, h1, h2), s))
+            own, over = joined[g], joined[t]
+            if own is None or over is None:
+                # Raise for the first unknown symbol in cell order, own record first.
+                for a, b in zip(patch.slices[g], patch.slices[t]):
+                    _record(ctx, a)
+                    _record(ctx, b)
+            own, over = own[position[s] :: width], over[identity_pos::width]
+            if own != over:
+                violations.extend(
+                    ((g, *divmod(i, n2)), s) for i, (a, b) in enumerate(zip(own, over)) if a != b
+                )
     return violations
 
 
@@ -333,14 +378,15 @@ def check_F4(patch: FinalPatch, ctx: FactorContext) -> list:
     violations = []
     reads = {}
     decoded = {}
-    y_sym = patch.y_sym
+    n2 = patch.n2
 
     def decode(g, m, read):
         cells, h2 = read
         if cells is None:
             return None, "unreadable"
         # The window's length, 3^(m+1), fixes the depth.
-        symbols = tuple(y_sym[(g, h1, h2)] for h1 in cells)
+        records = patch.slices[g]
+        symbols = tuple(records[h1 * n2 + h2] for h1 in cells)
         if symbols not in decoded:
             bits = _identity_prefix(ctx, symbols)
             decoded[symbols] = (None, "undecodable") if bits is None else (bits, None)
@@ -420,7 +466,8 @@ def factor_phi(patch: FinalPatch, ctx: FactorContext, n: int, at=()) -> str:
     cells = _row_cells(slc.patch1, slc.patch1.ball.index[()], length)
     if cells is None:
         raise UndecodableWindow("the rightward walk leaves the grid before the window ends")
-    bits = _identity_prefix(ctx, (patch.y_sym[(g, h1, h2)] for h1 in cells))
+    records = patch.slices[g]
+    bits = _identity_prefix(ctx, (records[h1 * patch.n2 + h2] for h1 in cells))
     if bits is None:
         raise UndecodableWindow(f"layer {ctx.T.identity!r} does not decode at depth {n}")
     return bits
@@ -457,9 +504,8 @@ def witness_construct(
         reverse.setdefault(record, sym)
     span1 = len(omega_bar.patch1.ball)
     positions = list(range(-span1, span1 + 1))
-    coordinates = None
-    omega = {}
-    y_sym = {}
+    order = None
+    slices = []
     for g in range(len(g_ball)):
         words = {}
         for s in layers:
@@ -479,27 +525,25 @@ def witness_construct(
                 raise SchemaError(f"prefixes[{name!r}]", "missing orbit data")
             words[s] = prefix
         layered = psi_tilde(words, positions)
-        column = {}
-        for j, x in enumerate(positions):
-            record = "".join(layered.layers[s][j] for s in layers)
+        column = []
+        for record in map("".join, zip(*(layered.layers[s] for s in layers))):
             sym = reverse.get(record)
             if sym is None:
                 raise SchemaError(
                     "block_map", f"no alphabet symbol encodes the record {record!r}"
                 )
-            column[x] = sym
-        if coordinates is None:
+            column.append(sym)
+        if order is None:
             # Walked once the first slice's records are known, so a bad
-            # record is still reported before a label cycle.
-            coordinates = [
-                (h1, h2, x)
-                for cells in _seed_coordinates(omega_bar).values()
-                for (h1, h2), (x, _) in cells.items()
-            ]
-        omega[g] = omega_bar
-        for h1, h2, x in coordinates:
-            y_sym[(g, h1, h2)] = column[x]
-    return FinalPatch(g_ball, omega, y_sym)
+            # record is still reported before a label cycle.  Cell
+            # (h1, h2) reads the column at x, entry x + span1.
+            n2 = len(omega_bar.patch2.ball)
+            order = [None] * (span1 * n2)
+            for cells in _seed_coordinates(omega_bar).values():
+                for (h1, h2), (x, _) in cells.items():
+                    order[h1 * n2 + h2] = x + span1
+        slices.append(tuple(map(column.__getitem__, order)))
+    return FinalPatch._of_slices(g_ball, dict.fromkeys(range(len(g_ball)), omega_bar), slices)
 
 
 def hat_phi_project(patch: FinalPatch, ctx: FactorContext, codec: SubshiftCodec) -> dict:
@@ -522,21 +566,20 @@ def hat_phi_project(patch: FinalPatch, ctx: FactorContext, codec: SubshiftCodec)
     projection = {}
     decoded = {}
     lines = {}
-    y_sym = patch.y_sym
+    n1, n2 = patch.n1, patch.n2
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
-        n1, n2 = len(slc.patch1.ball), len(slc.patch2.ball)
         if slc.patch1 not in lines:
             lines[slc.patch1] = [
                 _row_cells(slc.patch1, h1, length) if ctx.kappa > 0 else None for h1 in range(n1)
             ]
-        columns = [[y_sym[(g, h1, h2)] for h2 in range(n2)] for h1 in range(n1)]
+        rows = patch.rows(g)
         for h1, cells in enumerate(lines[slc.patch1]):
             if cells is None:
                 projection.update(((g, h1, h2), UNDETERMINED) for h2 in range(n2))
                 continue
-            # Row h2 of the zipped columns is the window of cell (h1, h2).
-            for h2, symbols in enumerate(zip(*(columns[c] for c in cells))):
+            # Row h2 of the zipped rows is the window of cell (h1, h2).
+            for h2, symbols in enumerate(zip(*(rows[c] for c in cells))):
                 sym = decoded.get(symbols)
                 if sym is None:
                     sym = decoded[symbols] = decode(symbols)
@@ -586,14 +629,16 @@ def final_patch_from_descriptor(obj, path: str = "final") -> FinalPatch:
             grid_patch_from_descriptor(pair[0], f"{where}[0]", balls),
             grid_patch_from_descriptor(pair[1], f"{where}[1]", balls),
         )
-    y_sym = {}
+    # Records in cell-index order, None until read; FinalPatch rejects a gap.
+    slices = {g: [None] * len(slc.patch1.ball) * len(slc.patch2.ball) for g, slc in omega.items()}
     for g, rows, where in cells_from_words(g_ball, obj["y"], f"{path}.y"):
         if g not in omega:
             raise SchemaError(where, "names a cell without a slice")
-        slc = omega[g]
+        slc, records = omega[g], slices[g]
+        n2 = len(slc.patch2.ball)
         for h1, row, row_where in cells_from_words(slc.patch1.ball, rows, where):
             for h2, sym, cell_where in cells_from_words(slc.patch2.ball, row, row_where):
                 if not isinstance(sym, str):
                     raise SchemaError(cell_where, "expected a symbol")
-                y_sym[(g, h1, h2)] = sym
-    return FinalPatch(g_ball, omega, y_sym)
+                records[h1 * n2 + h2] = sym
+    return FinalPatch._of_slices(g_ball, omega, [slices.get(g, ()) for g in range(len(g_ball))])

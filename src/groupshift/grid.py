@@ -418,18 +418,18 @@ def _orient(adjacency, ball) -> PathCover:
     return PathCover(ball, succ, pred)
 
 
-def grid_y_check(omega: ProductGridPatch, y: dict, sft: NNSFT2D) -> LocalCheckReport:
+def grid_y_check(omega: ProductGridPatch, rows, sft: NNSFT2D) -> LocalCheckReport:
     """Check a product-ball configuration against a planar local rule.
 
-    The horizontal neighbour of (h₁,h₂) is one right-step in the first
-    factor, the vertical neighbour one right-step in the second; pairs
-    are tested against the allowed horizontal/vertical dominoes.
+    The configuration is given row by row: rows[h₁][h₂].  The horizontal
+    neighbour of (h₁,h₂) is one right-step in the first factor, the
+    vertical neighbour one right-step in the second; pairs are tested
+    against the allowed horizontal/vertical dominoes.
     """
     violations = []
     satisfied = 0
     unchecked = 0
     right2 = omega.patch2.right
-    rows = [[y[(h1, h2)] for h2 in range(len(right2))] for h1 in range(len(omega.patch1.right))]
     for h1, step1 in enumerate(omega.patch1.right):
         row = rows[h1]
         over = None if step1 is None else rows[step1]

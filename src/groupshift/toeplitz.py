@@ -110,9 +110,15 @@ def decode_procedure(w: str):
     symbol remains; returns the n+1 collected bits, or None as soon as a
     round has no valid decomposition.
     """
+    if _power_of_three(len(w)):  # a bad length is reported first, by _decode
+        _check_tword(w)
+    return _decode(w)
+
+
+def _decode(w: str):
+    """`decode_procedure` of a word whose symbols are checked."""
     if not _power_of_three(len(w)):
         raise BadLength(f"length {len(w)} is not a power of three (≥ 3)")
-    _check_tword(w)
     bits = []
     current = w
     while len(current) >= 3:
@@ -179,10 +185,11 @@ def action_layers(oracle: ActionOracle) -> tuple:
 
 def _decoded_layers(w: LayeredWord, T: ActionOracle):
     """The decoded prefix of every layer, in `action_layers` order, or
-    None as soon as one layer does not decode."""
+    None as soon as one layer does not decode.  `LayeredWord` has checked
+    the symbols, so only the length is checked here."""
     decoded = []
     for s in action_layers(T):
-        bits = decode_procedure(w.layer(s))
+        bits = _decode(w.layer(s))
         if bits is None:
             return None
         decoded.append(bits)

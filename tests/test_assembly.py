@@ -424,8 +424,9 @@ def test_descriptor_roundtrip():
 
 
 # Window-by-window references for the memoised checkers: every decode
-# window of F1 is tested afresh, and every cell of the projection reads
-# its own window with read_grid.
+# window of F1 is tested on its own, and every cell of the projection
+# reads its own window with read_grid.  A window's verdict and a grid's
+# window cells depend on their arguments alone, so they are cached.
 
 
 def layered(ctx, symbols):
@@ -436,8 +437,14 @@ def layered(ctx, symbols):
     return LayeredWord(len(records), columns)
 
 
+def slice_dict(y, g):
+    """Slice g of a (g, h1, h2) record map, keyed by (h1, h2)."""
+    return {key[1:]: sym for key, sym in y.items() if key[0] == g}
+
+
 def f1_windows(patch):
     """(g, (chain, column, offset), symbols) for every window check_F1 scans."""
+    y = patch.y_sym
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
         try:
@@ -453,29 +460,61 @@ def f1_windows(patch):
             for h2 in range(len(slc.patch2.ball)):
                 for offset in range(len(chain) - length + 1):
                     cells = chain[offset : offset + length]
-                    yield g, (ci, h2, offset), tuple(patch.y_sym[(g, h1, h2)] for h1 in cells)
+                    yield g, (ci, h2, offset), tuple(y[(g, h1, h2)] for h1 in cells)
+
+
+@functools.cache
+def reference_forbidden(ctx, symbols, budget):
+    """One window tested on its own.  The verdict depends on the arguments
+    alone, so the sampled properties share it across examples."""
+    verdict = top1d_forbidden(layered(ctx, symbols), ctx.X, ctx.T, budget)
+    return verdict is WindowVerdict.FORBIDDEN
+
+
+@functools.cache
+def reference_identity_bits(ctx, symbols):
+    """The identity layer of one window, decoded on its own."""
+    return decode_procedure(layered(ctx, symbols).layer(ctx.T.identity))
 
 
 def reference_F1_rows(patch, ctx, budget):
     return [
         (g, "row", where)
         for g, where, symbols in f1_windows(patch)
-        if top1d_forbidden(layered(ctx, symbols), ctx.X, ctx.T, budget)
-        is WindowVerdict.FORBIDDEN
+        if reference_forbidden(ctx, symbols, budget)
     ]
+
+
+class CellNames(dict):
+    """Every (h1, h2) maps to itself, so read_grid returns the cells it reads."""
+
+    def __missing__(self, key):
+        return key
+
+
+@functools.cache
+def read_window(slc, base, length):
+    """The cells of the row window of a length from base, read with
+    read_grid; None when the read leaves the grid."""
+    row = read_grid(slc, CellNames(), base, (0, 0, length, 1))
+    return None if row is None else tuple(row.get(x, 0) for x in range(length))
+
+
+def window_symbols(y_slice, slc, base, length):
+    cells = read_window(slc, base, length)
+    return None if cells is None else tuple(y_slice[cell] for cell in cells)
 
 
 def projection_windows(patch, ctx):
     """(cell, symbols) for every cell; symbols is None when the read leaves the grid."""
     length = 3**ctx.kappa
+    y = patch.y_sym
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
-        y_slice = patch.y_slice(g)
+        y_slice = slice_dict(y, g)
         for h1 in range(len(slc.patch1.ball)):
             for h2 in range(len(slc.patch2.ball)):
-                row = read_grid(slc, y_slice, (h1, h2), (0, 0, length, 1))
-                symbols = None if row is None else tuple(row.get(x, 0) for x in range(length))
-                yield (g, h1, h2), symbols
+                yield (g, h1, h2), window_symbols(y_slice, slc, (h1, h2), length)
 
 
 def reference_projection(patch, ctx, codec):
@@ -484,8 +523,7 @@ def reference_projection(patch, ctx, codec):
     for cell, symbols in projection_windows(patch, ctx):
         out[cell] = UNDETERMINED
         if symbols is not None:
-            bits = decode_procedure(layered(ctx, symbols).layer(ctx.T.identity))
-            out[cell] = reverse.get(bits, UNDETERMINED)
+            out[cell] = reverse.get(reference_identity_bits(ctx, symbols), UNDETERMINED)
     return out
 
 
@@ -609,17 +647,19 @@ def reference_witness(ctx, g_ball, prefixes, omega_bar):
 def reference_F1(patch, ctx, budget):
     rows = {g: [] for g in patch.omega}
     for g, where, symbols in f1_windows(patch):
-        verdict = top1d_forbidden(layered(ctx, symbols), ctx.X, ctx.T, budget)
-        if verdict is WindowVerdict.FORBIDDEN:
+        if reference_forbidden(ctx, symbols, budget):
             rows[g].append((g, "row", where))
     violations = Violations()
+    y = patch.y_sym
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
         for k, gp in ((1, slc.patch1), (2, slc.patch2)):
             report = check_grid_local(gp)
             violations.extend((g, "grid", k, v) for v in report.violations)
             violations.tally(report)
-        report = grid_y_check(slc, patch.y_slice(g), ctx.sft)
+        n1, n2 = len(slc.patch1.ball), len(slc.patch2.ball)
+        records = [[y[(g, h1, h2)] for h2 in range(n2)] for h1 in range(n1)]
+        report = grid_y_check(slc, records, ctx.sft)
         violations.extend((g, "cell", v) for v in report.violations)
         violations.tally(report)
         try:
@@ -634,6 +674,7 @@ def reference_F1(patch, ctx, budget):
 def reference_F3(patch, ctx):
     position = {s: i for i, s in enumerate(ctx.layers)}
     gens = patch.g_ball.oracle.gens
+    y = patch.y_sym
     violations = []
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
@@ -643,16 +684,17 @@ def reference_F3(patch, ctx):
                 continue
             for h1 in range(len(slc.patch1.ball)):
                 for h2 in range(len(slc.patch2.ball)):
-                    own = assembly._record(ctx, patch.y_sym[(g, h1, h2)])
-                    over = assembly._record(ctx, patch.y_sym[(t, h1, h2)])
+                    own = assembly._record(ctx, y[(g, h1, h2)])
+                    over = assembly._record(ctx, y[(t, h1, h2)])
                     if own[position[s]] != over[position[ctx.T.identity]]:
                         violations.append(((g, h1, h2), s))
     return violations
 
 
 def reference_F4(patch, ctx):
-    """Every base's window read afresh with read_grid."""
+    """Every base's window read on its own with read_grid."""
     need = 3**ctx.kappa + 1
+    y = patch.y_sym
     violations = []
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
@@ -660,7 +702,7 @@ def reference_F4(patch, ctx):
             raise BallTooSmall(
                 f"row ball radius {slc.patch1.ball.radius} < {need} needed for kappa={ctx.kappa}"
             )
-        y_slice = patch.y_slice(g)
+        y_slice = slice_dict(y, g)
         ball1, ball2 = slc.patch1.ball, slc.patch2.ball
         gens1, gens2 = ball1.oracle.gens, ball2.oracle.gens
         bases = {}
@@ -675,12 +717,11 @@ def reference_F4(patch, ctx):
             length = 3 ** (m + 1)
             read = {}
             for pair, base in bases.items():
-                row = read_grid(slc, y_slice, base, (0, 0, length, 1))
-                if row is None:
+                symbols = window_symbols(y_slice, slc, base, length)
+                if symbols is None:
                     read[pair] = (None, "unreadable")
                     continue
-                window = layered(ctx, [row.get(x, 0) for x in range(length)])
-                bits = decode_procedure(window.layer(ctx.T.identity))
+                bits = reference_identity_bits(ctx, symbols)
                 read[pair] = (None, "undecodable") if bits is None else (bits, None)
             reference, problem = read[home]
             if problem is not None:
@@ -782,6 +823,74 @@ def test_checkers_match_the_references_on_corrupted_grid_witnesses(name):
         f1 = assert_every_checker_matches(FinalPatch(patch.g_ball, patch.omega, y), ctx, codec)
         reported += bool(f1)
     assert reported
+
+
+def test_f3_raises_for_the_first_unknown_symbol_it_meets():
+    # F3 reads cell by cell, own record first, for each (g, s) in order;
+    # on the golden witness slice 0 is compared with slice 2 first.
+    patch, ctx, _ = golden_witness()
+    last = max(cell for cell in patch.y_sym if cell[0] == 0)
+    for other, first in ((2, "?"), (1, "!")):
+        y = dict(patch.y_sym)
+        y[last] = "!"
+        y[(other, 0, 0)] = "?"
+        with pytest.raises(UnknownSymbol) as caught:
+            check_F3(FinalPatch(patch.g_ball, patch.omega, y), ctx)
+        assert str(caught.value) == f"symbol {first!r} has no layered record"
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_two_unknown_symbols_raise_alike_in_every_checker(data):
+    patch, ctx, codec = shared_witness(10, 2)
+    y = dict(patch.y_sym)
+    cells = sorted(y)
+    for sym in ("?", "!"):
+        y[data.draw(st.sampled_from(cells))] = sym
+    assert_every_checker_matches(FinalPatch(patch.g_ball, patch.omega, y), ctx, codec)
+
+
+def phi_outcome(patch, ctx):
+    """factor_phi at the deepest depth the row ball holds, or its error text."""
+    depth = 0
+    while 3 ** (depth + 2) - 1 <= patch.omega[0].patch1.ball.radius:
+        depth += 1
+    try:
+        return factor_phi(patch, ctx, depth)
+    except UndecodableWindow as exc:
+        return str(exc)
+
+
+CORRUPTED = {
+    "golden": lambda: shared_witness(10, 2),
+    "z2-lines": lambda: grid_witness("z2-lines")[:3],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_single_record_corruptions_are_reported_or_change_nothing(data):
+    patch, ctx, codec = CORRUPTED[data.draw(st.sampled_from(sorted(CORRUPTED)))]()
+    y = dict(patch.y_sym)
+    cell = data.draw(st.sampled_from(sorted(y)))
+    y[cell] = data.draw(st.sampled_from(sorted(set(ctx.block_map) - {y[cell]})))
+    broken = FinalPatch(patch.g_ball, patch.omega, y)
+    found = [assert_every_checker_matches(broken, ctx, codec), check_F3(broken, ctx)]
+    found += [outcome(check_F4, broken, c) for c in (ctx, standard_context(ctx.X, ctx.T, 1))]
+    if not any(isinstance(f, list) and f for f in found):
+        assert phi_outcome(broken, ctx) == phi_outcome(patch, ctx)
+        assert hat_phi_project(broken, ctx, codec) == hat_phi_project(patch, ctx, codec)
+
+
+def test_final_patch_rejects_records_outside_the_product_ball():
+    patch, _, _ = golden_witness(radius1=4, radius2=1)
+    sym = patch.y_sym[(0, 0, 0)]
+    for key, where in (((0, 10**6, 0), "y[0,1000000,0]"), ((3, 0, 0), "y[3,0,0]")):
+        y = dict(patch.y_sym)
+        y[key] = sym
+        with pytest.raises(SchemaError) as caught:
+            FinalPatch(patch.g_ball, patch.omega, y)
+        assert caught.value.path == where
 
 
 def test_f1_on_equal_but_distinct_grids_and_on_a_shared_label_cycle():

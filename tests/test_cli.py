@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -535,7 +536,7 @@ def test_final_check_counts_are_the_per_slice_local_checks(tmp_path, capsys):
             for local in (
                 check_grid_local(slc.patch1),
                 check_grid_local(slc.patch2),
-                grid_y_check(slc, patch.y_slice(g), ctx.sft),
+                grid_y_check(slc, patch.rows(g), ctx.sft),
             ):
                 satisfied += local.satisfied
                 unchecked += local.unchecked
@@ -671,6 +672,26 @@ def test_final_witness_rejects_unplaced_prefix(tmp_path, capsys):
     )
     assert code == 2
     assert "prefixes" in err
+
+
+# Inputs, stdout, stderr and exit codes of the `final` commands, recorded
+# on the README's Z example and on its witness with one corrupted record.
+FINAL_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "final")
+
+
+def test_final_commands_match_the_recorded_reports(tmp_path, capsys, monkeypatch):
+    shutil.copytree(FINAL_DATA, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    stored = json.loads((tmp_path / "witness.json").read_text(encoding="utf-8"))
+    stored["patch"]["y"][""]["x"][""] = "111"
+    write(tmp_path, "corrupted.json", stored)
+    with open("commands.json", encoding="utf-8") as f:
+        cases = json.load(f)
+    assert len(cases) == 9
+    for case in cases:
+        with open(case["out"], encoding="utf-8", newline="") as f:
+            expected = (case["exit"], f.read(), case["stderr"])
+        assert (case["name"], *run_cli(capsys, case["argv"])) == (case["name"], *expected)
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,14 @@ def test_boundary_self_loop_hides_locally_but_not_from_traces():
     assert trace.kind == "Cycle" and trace.cycle_length == 1
 
 
+def as_rows(omega, y):
+    """The rows grid_y_check reads, rows[h1][h2], of a (h1, h2) map."""
+    return [
+        [y[(h1, h2)] for h2 in range(len(omega.patch2.ball))]
+        for h1 in range(len(omega.patch1.ball))
+    ]
+
+
 def test_grid_y_check_full_shift_never_complains():
     rng = random.Random(3)
     omega = ProductGridPatch(line_patch(2), line_patch(2))
@@ -369,7 +377,7 @@ def test_grid_y_check_full_shift_never_complains():
         for h1 in range(len(omega.patch1.ball))
         for h2 in range(len(omega.patch2.ball))
     }
-    report = grid_y_check(omega, y, full_shift(("a", "b")))
+    report = grid_y_check(omega, as_rows(omega, y), full_shift(("a", "b")))
     assert report.ok
 
 
@@ -380,7 +388,7 @@ def test_grid_y_check_counts_horizontal_failures():
         for h1 in range(len(omega.patch1.ball))
         for h2 in range(len(omega.patch2.ball))
     }
-    report = grid_y_check(omega, y, golden_h_sft())
+    report = grid_y_check(omega, as_rows(omega, y), golden_h_sft())
     assert len(report.violations) == 4 * 5
     assert all(kind == "h" for (_, kind, _, _) in report.violations)
 
@@ -474,7 +482,7 @@ def test_seed_and_check_on_a_grigorchuk_grid():
     sft = golden_h_sft()
     y = seed_grid_from_config(omega, c, sft)
     assert not isinstance(y, SeedFailure)
-    assert grid_y_check(omega, y, sft).ok
+    assert grid_y_check(omega, as_rows(omega, y), sft).ok
 
 
 def test_grid_patch_descriptor_round_trip():
@@ -681,7 +689,7 @@ def test_grid_y_check_matches_the_cell_by_cell_reference():
                 for h2 in range(len(omega.patch2.ball))
             }
             for sft in (golden_h_sft(), vertical_golden):
-                report = grid_y_check(omega, y, sft)
+                report = grid_y_check(omega, as_rows(omega, y), sft)
                 assert (report.violations, report.satisfied, report.unchecked) == (
                     reference_y_check(omega, y, sft)
                 )
