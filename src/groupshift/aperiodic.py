@@ -17,10 +17,9 @@ factor is, else Respected.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import GroupshiftError, ResourceLimit, SchemaError
+from .errors import GroupshiftError, Record, ResourceLimit, SchemaError, Value
 from .groups import (
     CayleyBall,
     Word,
@@ -56,46 +55,54 @@ class ColoredBall:
         self.k = k
 
 
-@dataclass(frozen=True)
-class PeriodCandidate:
+class PeriodCandidate(Value):
     """One translation word per factor, not all of them empty."""
 
-    components: tuple[Word, ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
+    def __init__(self, components: tuple[Word, ...]):
+        self.components = components
         if not self.components or all(not comp for comp in self.components):
             raise ValueError("a period candidate must move at least one factor")
 
 
-@dataclass(frozen=True, eq=False)
-class ProductColoring:
+class ProductColoring(Record):
     """Componentwise colors over the product of several colored balls."""
 
-    factors: tuple[ColoredBall, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[ColoredBall, ...]):
+        self.factors = factors
 
 
-@dataclass(frozen=True, eq=False)
-class ColoringFailure:
+class ColoringFailure(Record):
     """Definite failure of the coloring search."""
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
-@dataclass(frozen=True)
-class ProbeEntry:
+class ProbeEntry(Value):
     """Verdict for one candidate translation of a product coloring."""
 
-    candidate: PeriodCandidate
-    status: PeriodStatus
-    broken_by: int | None
+    __slots__ = ("candidate", "status", "broken_by")
+
+    def __init__(self, candidate: PeriodCandidate, status: PeriodStatus, broken_by: int | None):
+        self.candidate = candidate
+        self.status = status
+        self.broken_by = broken_by
 
 
-@dataclass(frozen=True, eq=False)
-class ProbeReport:
+class ProbeReport(Record):
     """All candidate verdicts plus the repetition count of each factor."""
 
-    entries: tuple[ProbeEntry, ...]
-    factor_violations: tuple[int, ...]
+    __slots__ = ("entries", "factor_violations")
+
+    def __init__(self, entries: tuple[ProbeEntry, ...], factor_violations: tuple[int, ...]):
+        self.entries = entries
+        self.factor_violations = factor_violations
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,6 @@ orbit data that pass every check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .effective import ActionOracle, SetOracle, SubshiftCodec
@@ -22,6 +21,7 @@ from .errors import (
     BallTooSmall,
     CycleDetected,
     OutOfBall,
+    Record,
     SchemaError,
     UndecodableWindow,
     UnknownSymbol,
@@ -84,21 +84,21 @@ def top_layer_sft(layers) -> tuple:
     return sft, block_map
 
 
-@dataclass(frozen=True, eq=False)
-class FactorContext:
+class FactorContext(Record):
     """Everything the checkers and the factor map need to share.
 
     The block map sends every vertical-shift symbol to its layered
     record; kappa is the decode depth that pins the first coded block.
     """
 
-    sft: NNSFT2D
-    block_map: dict
-    X: SetOracle
-    T: ActionOracle
-    kappa: int
+    __slots__ = ("sft", "block_map", "X", "T", "kappa")
 
-    def __post_init__(self):
+    def __init__(self, sft: NNSFT2D, block_map: dict, X: SetOracle, T: ActionOracle, kappa: int):
+        self.sft = sft
+        self.block_map = block_map
+        self.X = X
+        self.T = T
+        self.kappa = kappa
         width = len(action_layers(self.T))
         for sym in self.sft.alphabet.symbols:
             record = self.block_map.get(sym)

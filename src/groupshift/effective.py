@@ -20,13 +20,13 @@ above, so verdicts and budget use are those of step-by-step charging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
     AlphabetMismatch,
     IncompleteSupport,
     OutOfBall,
+    Record,
     SchemaError,
     UnknownSymbol,
 )
@@ -134,8 +134,7 @@ class FullShiftSetOracle(SetOracle):
         return Verdict.UNKNOWN
 
 
-@dataclass(frozen=True, eq=False)
-class SubshiftCodec:
+class SubshiftCodec(Record):
     """Addressing and symbol coding shared by the binary oracles.
 
     Address n is the n-th canonical ball element (shortlex, address 0 the
@@ -145,12 +144,23 @@ class SubshiftCodec:
     symbol at address n.
     """
 
-    group: GroupOracle
-    ball: CayleyBall
-    alphabet: Alphabet
-    kappa: int
-    upsilon: dict
-    decoding: dict
+    __slots__ = ("group", "ball", "alphabet", "kappa", "upsilon", "decoding")
+
+    def __init__(
+        self,
+        group: GroupOracle,
+        ball: CayleyBall,
+        alphabet: Alphabet,
+        kappa: int,
+        upsilon: dict,
+        decoding: dict,
+    ):
+        self.group = group
+        self.ball = ball
+        self.alphabet = alphabet
+        self.kappa = kappa
+        self.upsilon = upsilon
+        self.decoding = decoding
 
     def enumeration(self, n: int) -> Word:
         if n < 0 or n >= len(self.ball):
@@ -397,13 +407,15 @@ def rho_action_oracle(codec: SubshiftCodec, forbidden) -> RhoActionOracle:
     return RhoActionOracle(codec, forbidden)
 
 
-@dataclass(frozen=True, eq=False)
-class SubshiftSpec:
+class SubshiftSpec(Record):
     """A group together with an alphabet and forbidden pattern codings."""
 
-    group: GroupOracle
-    alphabet: Alphabet
-    forbidden: tuple
+    __slots__ = ("group", "alphabet", "forbidden")
+
+    def __init__(self, group: GroupOracle, alphabet: Alphabet, forbidden: tuple):
+        self.group = group
+        self.alphabet = alphabet
+        self.forbidden = forbidden
 
 
 def subshift_from_descriptor(obj, path: str = "subshift") -> SubshiftSpec:

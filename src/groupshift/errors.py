@@ -1,4 +1,35 @@
-"""Shared exception types."""
+"""Shared exception types, and the base classes of the library's records."""
+
+
+class Record:
+    """A record: fixed fields in `__slots__`, set once by `__init__`.
+
+    The repr lists the fields in slot order; equality is identity.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Value(Record):
+    """A record equal to any record of its class with equal fields, and
+    hashed by its fields (a subclass sets `__hash__ = None` to opt out)."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 class GroupshiftError(Exception):

@@ -12,15 +12,16 @@ deterministically from the edges of one generator pair.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import (
     BallTooSmall,
     CycleDetected,
     DisplacementNotGenerator,
+    Record,
     SchemaError,
     UnknownSymbol,
+    Value,
 )
 from .groups import (
     CayleyBall,
@@ -32,12 +33,14 @@ from .groups import (
 from .shiftcore import NNSFT2D, Patch2D, check_patch_nn
 
 
-@dataclass(frozen=True)
-class GridLabel:
+class GridLabel(Value):
     """A (left, right) pair of generator symbols."""
 
-    left: str
-    right: str
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: str, right: str):
+        self.left = left
+        self.right = right
 
 
 class GridPatch:
@@ -66,21 +69,25 @@ class GridPatch:
         self.left = tuple(left)
 
 
-@dataclass(frozen=True, eq=False)
-class ProductGridPatch:
+class ProductGridPatch(Record):
     """Independent direction labels on two factor balls."""
 
-    patch1: GridPatch
-    patch2: GridPatch
+    __slots__ = ("patch1", "patch2")
+
+    def __init__(self, patch1: GridPatch, patch2: GridPatch):
+        self.patch1 = patch1
+        self.patch2 = patch2
 
 
-@dataclass(frozen=True, eq=False)
-class LocalCheckReport:
+class LocalCheckReport(Record):
     """Constraint accounting: hard failures, passes, and boundary skips."""
 
-    violations: list
-    satisfied: int
-    unchecked: int
+    __slots__ = ("violations", "satisfied", "unchecked")
+
+    def __init__(self, violations: list, satisfied: int, unchecked: int):
+        self.violations = violations
+        self.satisfied = satisfied
+        self.unchecked = unchecked
 
     @property
     def ok(self) -> bool:
@@ -122,13 +129,15 @@ def induced_step(patch: GridPatch, h: int, direction: int):
     return (patch.right if direction > 0 else patch.left)[h]
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
+class OrbitTrace(Value):
     """Result of following right labels: kind is Path, Cycle or LeftBall."""
 
-    kind: str
-    cells: tuple
-    cycle_length: int = 0
+    __slots__ = ("kind", "cells", "cycle_length")
+
+    def __init__(self, kind: str, cells: tuple, cycle_length: int = 0):
+        self.kind = kind
+        self.cells = cells
+        self.cycle_length = cycle_length
 
 
 def orbit_trace(patch: GridPatch, h: int, max_steps: int = 10_000) -> OrbitTrace:
@@ -206,13 +215,15 @@ def _displacement(ball: CayleyBall, h: int, target) -> str:
     return sym
 
 
-@dataclass(frozen=True, eq=False)
-class PathCover:
+class PathCover(Record):
     """Vertex-disjoint simple paths on a ball, as successor/predecessor maps."""
 
-    ball: CayleyBall
-    succ: dict
-    pred: dict
+    __slots__ = ("ball", "succ", "pred")
+
+    def __init__(self, ball: CayleyBall, succ: dict, pred: dict):
+        self.ball = ball
+        self.succ = succ
+        self.pred = pred
 
     def validate(self, margin: int) -> list:
         """Problems with the cover; an empty list means it is valid.
@@ -253,11 +264,13 @@ class PathCover:
         return problems
 
 
-@dataclass(frozen=True, eq=False)
-class CoverFailure:
+class CoverFailure(Record):
     """Why no generator pair yields a valid cover."""
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
 def _generator_pairs(gens) -> list:
@@ -525,11 +538,13 @@ def _chains(patch: GridPatch):
     return chains, where
 
 
-@dataclass(frozen=True, eq=False)
-class SeedFailure:
+class SeedFailure(Record):
     """Seeding failure: the source patch cannot cover some orbit."""
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
 def _seed_coordinates(omega: ProductGridPatch) -> dict:

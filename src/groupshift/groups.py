@@ -10,10 +10,9 @@ one oracle class with one method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ResourceLimit, SchemaError, UnknownSymbol
+from .errors import ResourceLimit, SchemaError, UnknownSymbol, Value
 
 Word = tuple[str, ...]
 
@@ -31,15 +30,15 @@ def format_word(word: Word) -> str:
     return " ".join(word)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Value):
     """A finite symmetric generating set with a designated identity symbol."""
 
-    symbols: tuple[str, ...]
-    inverse: dict[str, str]
-    identity: str = IDENTITY
+    __slots__ = ("symbols", "inverse", "identity")
 
-    def __post_init__(self):
+    def __init__(self, symbols: tuple[str, ...], inverse: dict[str, str], identity: str = IDENTITY):
+        self.symbols = symbols
+        self.inverse = inverse
+        self.identity = identity
         if self.identity not in self.symbols:
             raise ValueError("identity symbol missing from generator set")
         if len(set(self.symbols)) != len(self.symbols):
@@ -162,15 +161,15 @@ class FreeGroupOracle(GroupOracle):
         return self._reduce(word)
 
 
-@dataclass(frozen=True)
-class MealyAutomaton:
+class MealyAutomaton(Value):
     """An invertible letter-to-letter transducer over the binary alphabet."""
 
-    states: tuple[str, ...]
-    transition: dict[str, dict[str, str]]
-    output: dict[str, dict[str, str]]
+    __slots__ = ("states", "transition", "output")
 
-    def __post_init__(self):
+    def __init__(self, states: tuple[str, ...], transition: dict, output: dict):
+        self.states = states
+        self.transition = transition
+        self.output = output
         for q in self.states:
             tq = self.transition.get(q)
             oq = self.output.get(q)

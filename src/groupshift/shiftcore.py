@@ -10,25 +10,26 @@ partial patches is None, which is reserved and never a user symbol.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import (
     AlphabetMismatch,
     OutOfBall,
+    Record,
     ResourceLimit,
     SchemaError,
+    Value,
 )
 from .groups import CayleyBall, Word
 
 HOLE = None
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    symbols: tuple
+class Alphabet(Value):
+    __slots__ = ("symbols",)
 
-    def __post_init__(self):
+    def __init__(self, symbols: tuple):
+        self.symbols = symbols
         if not self.symbols:
             raise ValueError("alphabet must be nonempty")
         if len(set(self.symbols)) != len(self.symbols):
@@ -41,14 +42,14 @@ class Alphabet:
         return len(self.symbols)
 
 
-@dataclass(frozen=True, eq=False)
-class Pattern:
+class Pattern(Record):
     """A finite pattern over a group: canonical words mapped to symbols."""
 
-    support: tuple[Word, ...]
-    values: dict
+    __slots__ = ("support", "values")
 
-    def __post_init__(self):
+    def __init__(self, support: tuple[Word, ...], values: dict):
+        self.support = support
+        self.values = values
         for word in self.support:
             if word not in self.values:
                 raise ValueError("pattern values must be total on the support")
@@ -66,15 +67,15 @@ def coding_from_pairs(pairs) -> PatternCoding:
     return tuple((tuple(word), sym) for word, sym in pairs)
 
 
-@dataclass(frozen=True)
-class NNSFT2D:
+class NNSFT2D(Value):
     """A nearest-neighbour planar SFT given by allowed dominoes."""
 
-    alphabet: Alphabet
-    allowed_h: frozenset
-    allowed_v: frozenset
+    __slots__ = ("alphabet", "allowed_h", "allowed_v")
 
-    def __post_init__(self):
+    def __init__(self, alphabet: Alphabet, allowed_h: frozenset, allowed_v: frozenset):
+        self.alphabet = alphabet
+        self.allowed_h = allowed_h
+        self.allowed_v = allowed_v
         for a, b in itertools.chain(self.allowed_h, self.allowed_v):
             if a not in self.alphabet or b not in self.alphabet:
                 raise ValueError("allowed pair uses a symbol outside the alphabet")
@@ -116,20 +117,21 @@ def sft_from_descriptor(obj, path: str = "sft") -> NNSFT2D:
     return NNSFT2D(alphabet, pair_set("allowed_h"), pair_set("allowed_v"))
 
 
-@dataclass
-class Patch2D:
+class Patch2D(Value):
     """A rectangular window of the plane; x grows right, y grows up.
 
     Cells missing from the mapping (or mapped to None) are holes.
     """
 
-    x0: int
-    y0: int
-    width: int
-    height: int
-    cells: dict
+    __slots__ = ("x0", "y0", "width", "height", "cells")
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, x0: int, y0: int, width: int, height: int, cells: dict):
+        self.x0 = x0
+        self.y0 = y0
+        self.width = width
+        self.height = height
+        self.cells = cells
         if self.width < 1 or self.height < 1:
             raise ValueError("patch dimensions must be positive")
         for (x, y) in self.cells:

@@ -10,10 +10,9 @@ checks a window against a set oracle and an action oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadLength, InsufficientPrefix, UnknownSymbol
+from .errors import BadLength, InsufficientPrefix, Record, UnknownSymbol
 from .effective import ActionOracle, SetOracle, Verdict, _check_binary
 
 FILLER = "␣"
@@ -50,9 +49,14 @@ def psi_encode(x_prefix: str, positions) -> str:
     the supplied prefix.
     """
     _check_binary(x_prefix)
+    positions = list(positions)
+    return _spread(x_prefix, positions, [symbol_depth(j) for j in positions])
+
+
+def _spread(x_prefix: str, positions: list, depths: list) -> str:
+    """`psi_encode` of a checked prefix, given the depth of each position."""
     out = []
-    for j in positions:
-        n = symbol_depth(j)
+    for j, n in zip(positions, depths):
         if n is None:
             out.append(FILLER)
         elif n < len(x_prefix):
@@ -130,14 +134,14 @@ def _decode(w: str):
     return "".join(bits)
 
 
-@dataclass(frozen=True, eq=False)
-class LayeredWord:
+class LayeredWord(Record):
     """One filler-coded word per generator; all layers have one length."""
 
-    length: int
-    layers: dict
+    __slots__ = ("length", "layers")
 
-    def __post_init__(self):
+    def __init__(self, length: int, layers: dict):
+        self.length = length
+        self.layers = layers
         if self.length <= 0:
             raise BadLength("layered words must have positive length")
         if not self.layers:
@@ -167,7 +171,11 @@ def psi_tilde(prefixes: dict, positions) -> LayeredWord:
     positions = list(positions)
     if not positions:
         raise BadLength("empty position range")
-    layers = {s: psi_encode(p, positions) for s, p in prefixes.items()}
+    depths = [symbol_depth(j) for j in positions]
+    layers = {}
+    for s, p in prefixes.items():
+        _check_binary(p)
+        layers[s] = _spread(p, positions, depths)
     return LayeredWord(len(positions), layers)
 
 

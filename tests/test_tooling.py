@@ -1,13 +1,19 @@
-"""The benchmark's tracer finds every library function it wraps."""
+"""The benchmark's tracer finds every library function it wraps, and the
+CLI's imports stay free of modules that slow every process start."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+SRC = ROOT / "src"
 
 
 def timed_targets():
@@ -43,3 +49,23 @@ def test_every_traced_groupshift_target_resolves():
             assert owners, where
         else:
             assert method in vars(getattr(module, cls_name)), where
+
+
+def loaded_modules(*imports):
+    """The `sys.modules` names of a fresh interpreter after the imports."""
+    code = "".join(f"import {name}\n" for name in imports) + "import sys\nprint(*sorted(sys.modules))\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return set(done.stdout.split())
+
+
+def test_cli_import_does_not_load_dataclasses_or_inspect():
+    # Both modules cost every groupshift process start-up time: `inspect`
+    # drags in `ast`, `dis` and `tokenize`, and every dataclass execs its
+    # generated methods.  A bare interpreter may already load them.
+    bare = loaded_modules()
+    cli = loaded_modules("groupshift.cli")
+    assert "groupshift.cli" in cli
+    assert {"dataclasses", "inspect"} & cli <= bare
