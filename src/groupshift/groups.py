@@ -5,7 +5,10 @@ exact canonical key: two words get equal keys exactly when they name the same
 group element.  The word problem, element equality and the deduplication of
 Cayley balls are all key comparisons, and everything downstream (balls,
 grids, codecs) is built on that interface, so adding a group means adding
-one oracle class with one method.
+one oracle class with one method.  A ball grows one generator at a time and
+asks for the key of w·s given the key of w (`key_step`); groups whose keys
+compose (exponent vectors, reduced words, factor tuples and the portraits
+of contracting automaton groups) answer from the key alone.
 """
 
 from __future__ import annotations
@@ -78,6 +81,10 @@ class GroupOracle:
         the same group element; raises UnknownSymbol on a foreign symbol."""
         raise NotImplementedError
 
+    def key_step(self, key, word: Word, sym: str):
+        """The key of word + (sym,), given the key of word."""
+        return self.canonical_key(word + (sym,))
+
     def is_identity(self, word: Word) -> bool:
         return self.canonical_key(word) == self.canonical_key(EPSILON)
 
@@ -133,6 +140,14 @@ class FreeAbelianOracle(GroupOracle):
     def canonical_key(self, word: Word):
         return self._vector(word)
 
+    def key_step(self, key, word: Word, sym: str):
+        if sym == IDENTITY:
+            return key
+        if sym not in self._axis:
+            raise UnknownSymbol(sym)
+        i, step = self._axis[sym]
+        return key[:i] + (key[i] + step,) + key[i + 1:]
+
 
 class FreeGroupOracle(GroupOracle):
     """Free group of a given rank; words are freely reduced."""
@@ -159,6 +174,15 @@ class FreeGroupOracle(GroupOracle):
 
     def canonical_key(self, word: Word):
         return self._reduce(word)
+
+    def key_step(self, key, word: Word, sym: str):
+        if sym == IDENTITY:
+            return key
+        if sym not in self.gens.inverse:
+            raise UnknownSymbol(sym)
+        if key and key[-1] == self.gens.inverse[sym]:
+            return key[:-1]
+        return key + (sym,)
 
 
 class MealyAutomaton(Value):
@@ -203,6 +227,23 @@ class MealyAutomaton(Value):
         return "".join(out)
 
 
+def _refine(rows: list) -> list:
+    """Moore partition refinement on rows (root swap, section 0, section 1)
+    of a finite automaton: the class of each row, where two rows share a
+    class exactly when they act alike on the binary tree."""
+    cls = [int(swapped) for swapped, _, _ in rows]
+    count = len(set(cls))
+    while True:
+        names: dict = {}
+        refined = [
+            names.setdefault((swapped, cls[i], cls[j]), len(names))
+            for swapped, i, j in rows
+        ]
+        if len(names) == count:
+            return cls
+        cls, count = refined, len(names)
+
+
 def mealy_apply(automaton: MealyAutomaton, state_word: tuple[str, ...], bits: str) -> str:
     """Apply a composition of states to a binary string, rightmost state first."""
     for b in bits:
@@ -219,15 +260,34 @@ def mealy_apply(automaton: MealyAutomaton, state_word: tuple[str, ...], bits: st
 class MealyGroupOracle(GroupOracle):
     """Group generated by the states of an invertible Mealy automaton.
 
-    The canonical key of a state word is its minimal automaton.  The
-    iterated sections of the word form a finite closure (sections never get
-    longer once trivial states are stripped); Moore partition refinement on
-    (root swap, class of section 0, class of section 1) merges the section
-    words that act alike, and a breadth-first renumbering from the word
-    itself makes the quotient canonical.  Two words act alike on the binary
-    tree exactly when these quotients are equal.  Section words are kept
-    short by pair rules p·q = 1 or p·q = r for a single state r, which the
-    constructor reads off the keys of all two-state words.
+    An element acts on the binary tree by a root swap and two sections, the
+    elements it applies below bit 0 and bit 1; two elements are equal
+    exactly when their swaps and sections are.  The states, merged where
+    they act alike, are the atoms, with the identity as atom 0.  When the
+    group is contracting over its states, every element has one finite
+    portrait, the canonical key: the atom it equals, if any, and otherwise
+    the triple (swap, portrait at 0, portrait at 1).  The key is exact: the
+    portrait is defined from the element alone, so equal words get equal
+    keys, and it determines the element (an atom is one element, and a
+    triple fixes the swap and both sections), so unequal words get unequal
+    keys.  Multiplying keeps portraits in this form: a triple whose parts
+    are an atom's swap and sections becomes that atom.  The constructor
+    tabulates x·q for every pair of atoms, and multiplying a portrait by a
+    state rewrites its branches down to that table, so the key of w·s comes
+    from the key of w.
+
+    The table fails to close when its pairs run into a cycle of products
+    that are not atoms (the lamplighter automaton does); such an automaton
+    keeps the minimal automaton of the section closure as its key (`_key`).
+    The iterated sections of a state word form a finite closure (sections
+    never get longer once trivial states are stripped); Moore partition
+    refinement on (root swap, class of section 0, class of section 1)
+    merges the section words that act alike, and a breadth-first
+    renumbering from the word itself makes the quotient canonical.  One
+    such refinement over the identity, the states and all two-state words
+    gives the constructor the atoms, the atom products that are atoms, and
+    the pair rules p·q = 1 or p·q = r for a single state r that keep section
+    words short.
     """
 
     def __init__(
@@ -266,24 +326,99 @@ class MealyGroupOracle(GroupOracle):
                 int(automaton.swaps(q)),
                 tuple((b, t) for b, t in sections if t in self._active),
             )
-        # Keys are exact without pair rules, so each rule found is a true
-        # relation and may be used at once.
+        # The identity, the active states and their products p·q, with
+        # their sections: these words are closed under sections (the
+        # section of p·q at b is p's section at q(b) times q's section at
+        # b), so one Moore refinement tells which of them act alike.
         self._pairs: dict[tuple[str, str], tuple[str, ...]] = {}
-        products = {self._key(()): ()}
-        for r in active:
-            products.setdefault(self._key((r,)), (r,))
-        for p in active:
-            for q in active:
-                product = products.get(self._key((p, q)))
-                if product is not None:
-                    self._pairs[(p, q)] = product
-        identity = self._key(())
+        pairs = [(p, q) for p in active for q in active]
+        cls = _refine(self._closure([()] + [(r,) for r in active] + pairs))
+        # Atoms: the identity, then each state that acts unlike every
+        # earlier one, with one state word each.
+        atom_of_class = {cls[0]: 0}
+        words = [()]
+        atom = dict.fromkeys(automaton.states, 0)
+        for i, r in enumerate(active, 1):
+            atom[r] = atom_of_class.setdefault(cls[i], len(words))
+            if atom[r] == len(words):
+                words.append((r,))
+        n = len(words)
+        products = [[x if q == 0 else q if x == 0 else None for q in range(n)] for x in range(n)]
+        for i, (p, q) in enumerate(pairs, 1 + len(active)):
+            product = atom_of_class.get(cls[i])
+            if product is not None:
+                self._pairs[(p, q)] = words[product]
+                products[atom[p]][atom[q]] = product
+        # Per atom: (root swap, atom of section 0, atom of section 1).
+        self._triples = [(0, 0, 0)]
+        for (r,) in words[1:]:
+            t = automaton.transition[r]
+            self._triples.append((self._moves[r][0], atom[t["0"]], atom[t["1"]]))
+        self._atoms = {triple: x for x, triple in enumerate(self._triples)}
+        self._letters = {IDENTITY: ()}
+        for name, word in self.generators.items():
+            self._letters[name] = tuple(atom[q] for q in word if atom[q])
+        self._products = self._close(products)
+        identity = self.canonical_key(())
         for name, inv in inverse.items():
             if name == IDENTITY or name < inv:
                 continue
             # Validate declared (and default self-) inverses once, up front.
-            if self._key(self.generators[name] + self.generators[inv]) != identity:
+            if self.canonical_key((name, inv)) != identity:
                 raise ValueError(f"{name!r} and {inv!r} are not mutually inverse")
+
+    def _close(self, products):
+        """Fill in the portraits of the atom pairs whose product is not an
+        atom, each from the products of its sections; None when they form a
+        cycle, so that some product has no finite portrait."""
+        todo = [(x, q) for x, row in enumerate(products) for q, p in enumerate(row) if p is None]
+        while todo:
+            left = []
+            for x, q in todo:
+                swap, q0, q1 = self._triples[q]
+                swapped, x0, x1 = self._triples[x]
+                if swap:
+                    x0, x1 = x1, x0
+                k0, k1 = products[x0][q0], products[x1][q1]
+                if k0 is None or k1 is None:
+                    left.append((x, q))
+                else:
+                    products[x][q] = self._node(swapped ^ swap, k0, k1)
+            if len(left) == len(todo):
+                return None
+            todo = left
+        return products
+
+    def _node(self, swap: int, k0, k1):
+        """The portrait with this root swap and these portraits below."""
+        if type(k0) is int and type(k1) is int:
+            return self._atoms.get((swap, k0, k1), (swap, k0, k1))
+        return (swap, k0, k1)
+
+    def _times(self, key, q: int):
+        """The portrait of key·q for an atom q other than the identity: q
+        acts first, so the section at bit b is key's section at q(b) times
+        q's section at b."""
+        if type(key) is int:
+            return self._products[key][q]
+        swapped, k0, k1 = key
+        swap, q0, q1 = self._triples[q]
+        if swap:
+            k0, k1 = k1, k0
+        if q0:
+            k0 = self._times(k0, q0)
+        if q1:
+            k1 = self._times(k1, q1)
+        return self._node(swapped ^ swap, k0, k1)
+
+    def _fold(self, key, word: Word):
+        """The portrait of (the element of key)·word."""
+        for sym in word:
+            if sym not in self._letters:
+                raise UnknownSymbol(sym)
+            for q in self._letters[sym]:
+                key = self._times(key, q)
+        return key
 
     def _push(self, stack: list[str], q: str) -> None:
         """Append a non-trivial state to a section word, applying the pair rules."""
@@ -317,11 +452,12 @@ class MealyGroupOracle(GroupOracle):
                 self._push(sec[b ^ swapped], t)
         return bool(swapped), tuple(sec[swapped]), tuple(sec[1 ^ swapped])
 
-    def _key(self, state_word: tuple[str, ...]):
-        # 1. The section closure, numbered breadth-first from the word.
-        start = self._reduce(state_word)
-        number = {start: 0}
-        closure = [start]
+    def _closure(self, words: list) -> list:
+        """Rows (root swap, number of section 0, number of section 1) of the
+        section closure of some distinct state words, numbered in the order
+        given and then breadth-first."""
+        number = {v: i for i, v in enumerate(words)}
+        closure = list(words)
         rows = []
         for v in closure:
             swapped, s0, s1 = self._sections(v)
@@ -330,19 +466,13 @@ class MealyGroupOracle(GroupOracle):
                     number[s] = len(closure)
                     closure.append(s)
             rows.append((swapped, number[s0], number[s1]))
-        # 2. Moore refinement until the number of classes stops growing.
-        cls = [int(swapped) for swapped, _, _ in rows]
-        count = len(set(cls))
-        while True:
-            names: dict = {}
-            refined = [
-                names.setdefault((swapped, cls[i], cls[j]), len(names))
-                for swapped, i, j in rows
-            ]
-            if len(names) == count:
-                break
-            cls, count = refined, len(names)
-        # 3. The quotient, its classes renumbered breadth-first from the word.
+        return rows
+
+    def _key(self, state_word: tuple[str, ...]):
+        """The minimal automaton of the word's section closure."""
+        rows = self._closure([self._reduce(state_word)])
+        cls = _refine(rows)
+        # The quotient, its classes renumbered breadth-first from the word.
         first = {}
         for v, c in enumerate(cls):
             first.setdefault(c, v)
@@ -369,7 +499,14 @@ class MealyGroupOracle(GroupOracle):
         return tuple(states)
 
     def canonical_key(self, word: Word):
-        return self._key(self._state_word(word))
+        if self._products is None:
+            return self._key(self._state_word(word))
+        return self._fold(0, word)
+
+    def key_step(self, key, word: Word, sym: str):
+        if self._products is None:
+            return super().key_step(key, word, sym)
+        return self._fold(key, (sym,))
 
     def is_identity(self, word: Word) -> bool:
         """True when no word of the section closure swaps at the root.
@@ -468,6 +605,15 @@ class ProductOracle(GroupOracle):
             for i, factor in enumerate(self.factors)
         )
 
+    def key_step(self, key, word: Word, sym: str):
+        if sym == IDENTITY:
+            return key
+        if sym not in self._slot:
+            raise UnknownSymbol(sym)
+        i, original = self._slot[sym]
+        step = self.factors[i].key_step(key[i], self.project(word, i), original)
+        return key[:i] + (step,) + key[i + 1:]
+
 
 class CayleyBall:
     """All group elements within a word-metric radius, as canonical words.
@@ -538,18 +684,21 @@ def _grown_ball(oracle: GroupOracle, done, max_elements: int) -> CayleyBall:
     """Grow a ball by shortlex breadth-first search, one sphere at a time,
     until `done(radius, size)`.
 
-    Each product the search keys is recorded as the edge (i, s) -> j and
-    its inverse (j, s⁻¹) -> i, and a pair whose edge is known is never
-    keyed again.  The products of inner spheres all lie in the ball, so
-    only the outer sphere has pairs left to key at the end; the products
-    among those that land in the ball become edges too.
+    Each product the search keys, by `key_step` from the key of its
+    element, is recorded as the edge (i, s) -> j and its inverse (j, s⁻¹)
+    -> i, and a pair whose edge is known is never keyed again.  The
+    products of inner spheres all lie in the ball, so only the outer sphere
+    has pairs left to key at the end; the products among those that land in
+    the ball become edges too.
     """
     gens = oracle.gens
     inverse = gens.inverse
+    step = oracle.key_step
     extend = [s for s in gens.symbols if s != gens.identity]
     elements: list[Word] = [EPSILON]
     distance: list[int] = [0]
-    keyed = {oracle.canonical_key(EPSILON): 0}
+    keys = [oracle.canonical_key(EPSILON)]
+    keyed = {keys[0]: 0}
     products: dict[tuple[int, str], int] = {}
     sphere = [0]
     radius = 0
@@ -560,8 +709,7 @@ def _grown_ball(oracle: GroupOracle, done, max_elements: int) -> CayleyBall:
             for sym in extend:
                 if (i, sym) in products:
                     continue
-                candidate = elements[i] + (sym,)
-                key = oracle.canonical_key(candidate)
+                key = step(keys[i], elements[i], sym)
                 j = keyed.get(key)
                 if j is None:
                     if len(elements) >= max_elements:
@@ -569,8 +717,9 @@ def _grown_ball(oracle: GroupOracle, done, max_elements: int) -> CayleyBall:
                             f"ball exceeded {max_elements} elements at radius {radius}"
                         )
                     j = keyed[key] = len(elements)
-                    elements.append(candidate)
+                    elements.append(elements[i] + (sym,))
                     distance.append(radius)
+                    keys.append(key)
                     outer.append(j)
                 products[(i, sym)] = j
                 products[(j, inverse[sym])] = i
@@ -578,7 +727,7 @@ def _grown_ball(oracle: GroupOracle, done, max_elements: int) -> CayleyBall:
     for i in sphere:
         for sym in extend:
             if (i, sym) not in products:
-                j = keyed.get(oracle.canonical_key(elements[i] + (sym,)))
+                j = keyed.get(step(keys[i], elements[i], sym))
                 if j is not None:
                     products[(i, sym)] = j
                     products[(j, inverse[sym])] = i

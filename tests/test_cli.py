@@ -694,6 +694,25 @@ def test_final_commands_match_the_recorded_reports(tmp_path, capsys, monkeypatch
         assert (case["name"], *run_cli(capsys, case["argv"])) == (case["name"], *expected)
 
 
+# Stdout, stderr and exit codes of `ball`, `wp` and `grid cover` on the
+# Grigorchuk group, its `mealy` descriptor, Z × Grigorchuk and the
+# lamplighter automaton, recorded with minimal-automaton keys for every
+# automaton group, so that a new key must give the same reports.
+GROUP_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "groups")
+
+
+def test_group_commands_match_the_recorded_reports(tmp_path, capsys, monkeypatch):
+    shutil.copytree(GROUP_DATA, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    with open("commands.json", encoding="utf-8") as f:
+        cases = json.load(f)
+    assert len(cases) == 7
+    for case in cases:
+        with open(case["out"], encoding="utf-8", newline="") as f:
+            expected = (case["exit"], f.read(), case["stderr"])
+        assert (case["name"], *run_cli(capsys, case["argv"])) == (case["name"], *expected)
+
+
 # ---------------------------------------------------------------------------
 # aperiodicity commands
 

@@ -114,6 +114,49 @@ def adding_machine():
     return MealyGroupOracle(automaton, {"a": ("a",), "A": ("A",)}, {"a": "A", "A": "a"})
 
 
+def lamplighter():
+    """a = σ(a, b) and b = (a, b), with inverse states A = σ(B, A) and
+    B = (A, B): the lamplighter group, which is not contracting."""
+    automaton = MealyAutomaton(
+        ("a", "b", "A", "B"),
+        {
+            "a": {"0": "a", "1": "b"},
+            "b": {"0": "a", "1": "b"},
+            "A": {"0": "B", "1": "A"},
+            "B": {"0": "A", "1": "B"},
+        },
+        {
+            "a": {"0": "1", "1": "0"},
+            "b": {"0": "0", "1": "1"},
+            "A": {"0": "1", "1": "0"},
+            "B": {"0": "0", "1": "1"},
+        },
+    )
+    generators = {q: (q,) for q in "abAB"}
+    return MealyGroupOracle(automaton, generators, {"a": "A", "A": "a", "b": "B", "B": "b"})
+
+
+def swap_group():
+    """One state that swaps the first letter: the group of order 2."""
+    automaton = MealyAutomaton(
+        ("s", "e"),
+        {"s": {"0": "e", "1": "e"}, "e": {"0": "e", "1": "e"}},
+        {"s": {"0": "1", "1": "0"}, "e": {"0": "0", "1": "1"}},
+    )
+    return MealyGroupOracle(automaton, {"s": ("s",)})
+
+
+def klein_four():
+    """a = σ(1, 1) and b = (a, a) commute and square to 1: Z/2 × Z/2, whose
+    element a·b is no state."""
+    automaton = MealyAutomaton(
+        ("a", "b", "e"),
+        {"a": {"0": "e", "1": "e"}, "b": {"0": "a", "1": "a"}, "e": {"0": "e", "1": "e"}},
+        {"a": {"0": "1", "1": "0"}, "b": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "1"}},
+    )
+    return MealyGroupOracle(automaton, {"a": ("a",), "b": ("b",)})
+
+
 def brute_force_ball(oracle, radius):
     """Dedup all words of length <= radius by pairwise oracle equality."""
     gens = [s for s in oracle.gens.symbols if s != oracle.gens.identity]
@@ -541,6 +584,8 @@ BALL_ORACLES = {
     "mealy": group_from_descriptor(MEALY),
     "mealy-two-state-generators": grigorchuk_descriptor_oracle(),
     "z-x-grigorchuk": ProductOracle([FreeAbelianOracle(1), GrigorchukOracle()]),
+    "adding-machine": adding_machine(),
+    "lamplighter": lamplighter(),
 }
 
 
@@ -600,9 +645,81 @@ def test_resolve_agrees_with_the_key_table(data):
 def test_grigorchuk_ball_keys_each_product_once():
     oracle = GrigorchukOracle()
     calls = []
-    key = oracle.canonical_key
-    oracle.canonical_key = lambda word: calls.append(word) or key(word)
+    step = oracle.key_step
+    oracle.key_step = lambda key, word, sym: calls.append(word + (sym,)) or step(key, word, sym)
     ball = cayley_ball(oracle, 6)
     assert len(ball) == 108
     assert len(calls) <= 254
     assert len(calls) == len(set(calls))
+
+
+# ---------------------------------------------------------------------------
+# Keys one generator at a time, and the portraits of contracting groups.
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_key_step_extends_the_key_by_one_generator(data):
+    oracle = BALL_ORACLES[data.draw(st.sampled_from(sorted(BALL_ORACLES)))]
+    letters = st.sampled_from(oracle.gens.symbols)
+    word = tuple(data.draw(st.lists(letters, max_size=10)))
+    sym = data.draw(letters)
+    key = oracle.canonical_key(word)
+    assert oracle.key_step(key, word, sym) == oracle.canonical_key(word + (sym,))
+    with pytest.raises(UnknownSymbol):
+        oracle.key_step(key, word, "?")
+
+
+CONTRACTING = {
+    "grigorchuk": BALL_ORACLES["grigorchuk"],
+    "mealy": BALL_ORACLES["mealy"],
+    "mealy-two-state-generators": BALL_ORACLES["mealy-two-state-generators"],
+    "adding-machine": BALL_ORACLES["adding-machine"],
+    "swap": swap_group(),
+    "klein-four": klein_four(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTING))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_portrait_keys_split_words_like_the_minimal_automaton(name, data):
+    oracle = CONTRACTING[name]
+    assert oracle._products is not None
+    # A shared prefix and short tails make equal elements common.
+    tails = st.lists(st.sampled_from(oracle.gens.symbols), max_size=6)
+    prefix = tuple(data.draw(tails))
+    words = [prefix + tuple(data.draw(tails)) for _ in range(4)]
+    portraits = [oracle.canonical_key(w) for w in words]
+    automata = [oracle._key(oracle._state_word(w)) for w in words]
+    for p, a in zip(portraits, automata):
+        assert [p == q for q in portraits] == [a == b for b in automata]
+
+
+def test_lamplighter_keeps_the_minimal_automaton_key():
+    oracle = lamplighter()
+    assert oracle._products is None
+    ball = cayley_ball(oracle, 5)
+    assert len(ball) == 208
+    elements, distance, edges, keyed = two_pass_ball(oracle, 5)
+    assert (ball.elements, ball.distance) == (elements, distance)
+    assert list(ball.edges.items()) == list(edges.items())
+    assert list(ball._keyed.items()) == list(keyed.items())
+    for word in ball.elements[::7]:
+        assert oracle.canonical_key(word) == oracle._key(oracle._state_word(word))
+
+
+def test_long_grigorchuk_words_key_without_deep_recursion():
+    oracle = GrigorchukOracle()
+    identity = oracle.canonical_key(())
+    rng = random.Random(5)
+    half = tuple(rng.choice("abcd") for _ in range(5_000))
+    words = [
+        tuple(rng.choice("abcd") for _ in range(10_000)),
+        half + oracle.gens.word_inverse(half),
+        ("a", "d") * 5_000,
+        ("a", "d") * 4_999 + ("a", "b"),
+    ]
+    for word in words:
+        assert (oracle.canonical_key(word) == identity) == wreath_is_identity(word)
+    assert [oracle.canonical_key(w) == identity for w in words] == [False, True, True, False]
