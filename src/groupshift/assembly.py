@@ -265,11 +265,11 @@ def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Vio
             report = local.get(gp)
             if report is None:
                 report = local[gp] = check_grid_local(gp)
-            violations.extend((g, "grid", k, v) for v in report.violations)
+            violations.extend((g, "grid", k, v) for v in report)
             violations.tally(report)
         rows = patch.rows(g)
         report = grid_y_check(slc, rows, ctx.sft)
-        violations.extend((g, "cell", v) for v in report.violations)
+        violations.extend((g, "cell", v) for v in report)
         violations.tally(report)
         if slc.patch1 not in chained:
             try:

@@ -2,10 +2,13 @@
 
 Every subcommand loads descriptor files, runs one library routine, and
 emits a JSON report tagged with the schema name; graph-shaped results
-can additionally be written as DOT.  Checker reports always carry the
-violations/satisfied/unchecked triple.  Exit status 0 means a clean
-check or a successful construction, 1 a reported violation or failure
-(the report is still written), and 2 a usage or schema problem.
+can additionally be written as DOT.  `nn check`, `grid check` and
+`final check` write the checkers' one report type, a `Violations` list
+with its `satisfied` and `unchecked` counts, as it is; the counts of
+`final check` cover F1's label and domino checks only.  Exit status 0
+means a clean check or a successful construction, 1 a reported
+violation or failure (the report is still written), and 2 a usage or
+schema problem.
 
 Reports are deterministic: keys are sorted, iteration orders are fixed,
 and no routine is randomised.  `grid cover` still accepts --seed, which
@@ -82,6 +85,7 @@ from .groups import (
 )
 from .shiftcore import (
     Pattern,
+    Violations,
     check_patch_nn,
     patch_extension_search,
     patch_from_descriptor,
@@ -171,6 +175,16 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _check_report(report: Violations):
+    """A checker's report as it is; exit status 1 when a constraint failed."""
+    payload = {
+        "violations": report,
+        "satisfied": report.satisfied,
+        "unchecked": report.unchecked,
+    }
+    return payload, 1 if report else 0, None
+
+
 def _ball_dot(ball) -> str:
     lines = ["digraph ball {"]
     for h in range(len(ball)):
@@ -239,13 +253,7 @@ def _cmd_wp(args):
 def _cmd_nn_check(args):
     sft = sft_from_descriptor(_load_json(args.sft))
     patch = patch_from_descriptor(_unwrap(_load_json(args.patch), "patch"))
-    violations = check_patch_nn(sft, patch)
-    payload = {
-        "violations": [[list(cell), axis, a, b] for cell, axis, a, b in violations],
-        "satisfied": violations.satisfied,
-        "unchecked": violations.unchecked,
-    }
-    return payload, 1 if violations else 0, None
+    return _check_report(check_patch_nn(sft, patch))
 
 
 def _cmd_nn_extend(args):
@@ -322,13 +330,7 @@ def _cmd_grid_check(args):
     patch = _load_grid(args.grid, "grid")
     if args.dot:
         _write_text(args.dot, grid_patch_to_dot(patch))
-    report = check_grid_local(patch)
-    payload = {
-        "violations": report.violations,
-        "satisfied": report.satisfied,
-        "unchecked": report.unchecked,
-    }
-    return payload, 0 if report.ok else 1, None
+    return _check_report(check_grid_local(patch))
 
 
 def _cmd_grid_trace(args):
@@ -406,15 +408,12 @@ def _cmd_final_check(args):
         ("F3", check_F3(patch, ctx)),
         ("F4", check_F4(patch, ctx)),
     )
-    violations = []
+    # Only F1's label and domino checks are counted.
+    report = Violations()
+    report.tally(f1)
     for name, found in results:
-        violations.extend([name, *entry] for entry in found)
-    payload = {
-        "violations": violations,
-        "satisfied": f1.satisfied,
-        "unchecked": f1.unchecked,
-    }
-    return payload, 1 if violations else 0, None
+        report.extend((name, *entry) for entry in found)
+    return _check_report(report)
 
 
 def _cmd_final_witness(args):

@@ -69,10 +69,6 @@ class Budget:
         self.used += steps
         return True
 
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.limit
-
 
 def _check_binary(word: str) -> None:
     for ch in word:
@@ -347,8 +343,6 @@ class RhoActionOracle(ActionOracle):
             verdict = self.set_oracle._reject_word(symbols, budget)
             if verdict is not None:
                 return verdict
-            if budget.exhausted:
-                return Verdict.UNKNOWN
         # Both words decode completely, and decoding is one-to-one, so
         # comparing symbols compares blocks.
         size = len(codec.ball)

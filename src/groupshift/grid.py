@@ -30,7 +30,7 @@ from .groups import (
     cells_from_words,
     cells_to_words,
 )
-from .shiftcore import NNSFT2D, Patch2D, check_patch_nn
+from .shiftcore import NNSFT2D, Patch2D, Violations, check_patch_nn
 
 
 class GridLabel(Value):
@@ -79,22 +79,7 @@ class ProductGridPatch(Record):
         self.patch2 = patch2
 
 
-class LocalCheckReport(Record):
-    """Constraint accounting: hard failures, passes, and boundary skips."""
-
-    __slots__ = ("violations", "satisfied", "unchecked")
-
-    def __init__(self, violations: list, satisfied: int, unchecked: int):
-        self.violations = violations
-        self.satisfied = satisfied
-        self.unchecked = unchecked
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_grid_local(patch: GridPatch) -> LocalCheckReport:
+def check_grid_local(patch: GridPatch) -> Violations:
     """Check that right and left labels of adjacent cells are inverse.
 
     For every cell h with right(h) = s, the cell h·s must carry
@@ -103,7 +88,7 @@ def check_grid_local(patch: GridPatch) -> LocalCheckReport:
     unchecked.
     """
     gens = patch.ball.oracle.gens
-    violations = []
+    violations = Violations()
     satisfied = 0
     unchecked = 0
     for h in range(len(patch.ball)):
@@ -121,7 +106,9 @@ def check_grid_local(patch: GridPatch) -> LocalCheckReport:
                 satisfied += 1
             else:
                 violations.append((h, direction, sym, observed))
-    return LocalCheckReport(violations, satisfied, unchecked)
+    violations.satisfied = satisfied
+    violations.unchecked = unchecked
+    return violations
 
 
 def induced_step(patch: GridPatch, h: int, direction: int):
@@ -431,7 +418,7 @@ def _orient(adjacency, ball) -> PathCover:
     return PathCover(ball, succ, pred)
 
 
-def grid_y_check(omega: ProductGridPatch, rows, sft: NNSFT2D) -> LocalCheckReport:
+def grid_y_check(omega: ProductGridPatch, rows, sft: NNSFT2D) -> Violations:
     """Check a product-ball configuration against a planar local rule.
 
     The configuration is given row by row: rows[h₁][h₂].  The horizontal
@@ -439,7 +426,7 @@ def grid_y_check(omega: ProductGridPatch, rows, sft: NNSFT2D) -> LocalCheckRepor
     vertical neighbour one right-step in the second; pairs are tested
     against the allowed horizontal/vertical dominoes.
     """
-    violations = []
+    violations = Violations()
     satisfied = 0
     unchecked = 0
     right2 = omega.patch2.right
@@ -460,7 +447,9 @@ def grid_y_check(omega: ProductGridPatch, rows, sft: NNSFT2D) -> LocalCheckRepor
                 satisfied += 1
             else:
                 violations.append(((h1, h2), "v", a, row[step2]))
-    return LocalCheckReport(violations, satisfied, unchecked)
+    violations.satisfied = satisfied
+    violations.unchecked = unchecked
+    return violations
 
 
 def _walk_line(patch: GridPatch, base: int, lo: int, hi: int):

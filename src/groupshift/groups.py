@@ -88,9 +88,6 @@ class GroupOracle:
     def is_identity(self, word: Word) -> bool:
         return self.canonical_key(word) == self.canonical_key(EPSILON)
 
-    def equals(self, u: Word, v: Word) -> bool:
-        return self.canonical_key(u) == self.canonical_key(v)
-
 
 def _axis_names(rank: int) -> tuple[str, ...]:
     if rank <= 3:

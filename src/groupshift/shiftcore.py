@@ -189,16 +189,24 @@ def patch_to_descriptor(patch: Patch2D) -> dict:
 
 
 class Violations(list):
-    """A checker's violation list that also counts its local constraints:
-    `satisfied` held, `unchecked` reached past the edge of the ball or
-    patch, or touched a hole."""
+    """The one report of every local checker: the list of the constraints
+    that failed, with `satisfied`, how many held, and `unchecked`, how many
+    reach past the edge of the ball or patch or touch a hole.  It is falsy
+    exactly when nothing failed."""
 
     satisfied = 0
     unchecked = 0
 
-    def tally(self, report) -> None:
+    def tally(self, report: "Violations") -> None:
+        """Add the counts of another report to these."""
         self.satisfied += report.satisfied
         self.unchecked += report.unchecked
+
+    @property
+    def violations(self) -> list:
+        # Read only by bench/workloads/geometry.py; goes with the benchmark
+        # refresh (ROADMAP item 1).
+        return list(self)
 
 
 def check_patch_nn(sft: NNSFT2D, patch: Patch2D) -> Violations:

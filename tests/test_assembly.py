@@ -62,7 +62,14 @@ from groupshift.grid import (
     seed_grid_from_config,
 )
 from groupshift.groups import FreeAbelianOracle, FreeGroupOracle, GrigorchukOracle, cayley_ball
-from groupshift.shiftcore import Alphabet, Patch2D, Pattern, Violations, coding_from_pairs
+from groupshift.shiftcore import (
+    Alphabet,
+    Patch2D,
+    Pattern,
+    Violations,
+    check_patch_nn,
+    coding_from_pairs,
+)
 from groupshift.toeplitz import (
     FILLER,
     LayeredWord,
@@ -655,12 +662,12 @@ def reference_F1(patch, ctx, budget):
         slc = patch.omega[g]
         for k, gp in ((1, slc.patch1), (2, slc.patch2)):
             report = check_grid_local(gp)
-            violations.extend((g, "grid", k, v) for v in report.violations)
+            violations.extend((g, "grid", k, v) for v in report)
             violations.tally(report)
         n1, n2 = len(slc.patch1.ball), len(slc.patch2.ball)
         records = [[y[(g, h1, h2)] for h2 in range(n2)] for h1 in range(n1)]
         report = grid_y_check(slc, records, ctx.sft)
-        violations.extend((g, "cell", v) for v in report.violations)
+        violations.extend((g, "cell", v) for v in report)
         violations.tally(report)
         try:
             _chains(slc.patch1)
@@ -823,6 +830,55 @@ def test_checkers_match_the_references_on_corrupted_grid_witnesses(name):
         f1 = assert_every_checker_matches(FinalPatch(patch.g_ball, patch.omega, y), ctx, codec)
         reported += bool(f1)
     assert reported
+
+
+def constraints(report):
+    """Every constraint a local checker's report accounts for."""
+    return len(report) + report.satisfied + report.unchecked
+
+
+def swapped_label(gp, h):
+    """The grid with the left and right labels of cell h exchanged."""
+    label = gp.labels[h]
+    return GridPatch(gp.ball, {**gp.labels, h: GridLabel(label.right, label.left)})
+
+
+@pytest.mark.parametrize("name", ["golden", *sorted(GRIDS)])
+def test_every_local_constraint_is_counted_once(name):
+    # Two label constraints per ball cell, two dominoes per product cell
+    # and two neighbour pairs per planar patch cell, each either failed,
+    # satisfied or unchecked, on the witness and on a corrupted copy.
+    if name == "golden":
+        patch, ctx, _ = golden_witness()
+    else:
+        patch, ctx, _, _ = grid_witness(name)
+    rng = random.Random(name)
+    y = dict(patch.y_sym)
+    for cell in rng.sample(sorted(y), 5):
+        y[cell] = rng.choice(sorted(ctx.block_map))
+    for final in (patch, FinalPatch(patch.g_ball, patch.omega, y)):
+        expected = 0
+        for g in range(len(final.g_ball)):
+            slc = final.omega[g]
+            n1, n2 = len(slc.patch1.ball), len(slc.patch2.ball)
+            for gp in (slc.patch1, slc.patch2):
+                assert constraints(check_grid_local(gp)) == 2 * len(gp.ball)
+                swapped = check_grid_local(swapped_label(gp, 0))
+                assert swapped and constraints(swapped) == 2 * len(gp.ball)
+            rows = final.rows(g)
+            assert constraints(grid_y_check(slc, rows, ctx.sft)) == 2 * n1 * n2
+            holed = {
+                (h1, h2): rows[h1][h2]
+                for h1 in range(n1)
+                for h2 in range(n2)
+                if (h1 + h2) % 5
+            }
+            planar = check_patch_nn(ctx.sft, Patch2D(0, 0, n1, n2, holed))
+            assert constraints(planar) == 2 * n1 * n2
+            expected += 2 * (n1 + n2 + n1 * n2)
+        f1 = check_F1(final, ctx)
+        local = [v for v in f1 if v[1] in ("grid", "cell")]
+        assert len(local) + f1.satisfied + f1.unchecked == expected
 
 
 def test_f3_raises_for_the_first_unknown_symbol_it_meets():

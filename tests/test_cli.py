@@ -674,43 +674,53 @@ def test_final_witness_rejects_unplaced_prefix(tmp_path, capsys):
     assert "prefixes" in err
 
 
-# Inputs, stdout, stderr and exit codes of the `final` commands, recorded
-# on the README's Z example and on its witness with one corrupted record.
-FINAL_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "final")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
-def test_final_commands_match_the_recorded_reports(tmp_path, capsys, monkeypatch):
-    shutil.copytree(FINAL_DATA, tmp_path, dirs_exist_ok=True)
+def recorded_cases(folder, tmp_path, monkeypatch):
+    """The recorded commands of a data folder, copied to and run in tmp_path."""
+    shutil.copytree(os.path.join(DATA, folder), tmp_path, dirs_exist_ok=True)
     monkeypatch.chdir(tmp_path)
-    stored = json.loads((tmp_path / "witness.json").read_text(encoding="utf-8"))
-    stored["patch"]["y"][""]["x"][""] = "111"
-    write(tmp_path, "corrupted.json", stored)
     with open("commands.json", encoding="utf-8") as f:
-        cases = json.load(f)
-    assert len(cases) == 9
+        return json.load(f)
+
+
+def assert_recorded_reports(capsys, cases):
     for case in cases:
         with open(case["out"], encoding="utf-8", newline="") as f:
             expected = (case["exit"], f.read(), case["stderr"])
         assert (case["name"], *run_cli(capsys, case["argv"])) == (case["name"], *expected)
+
+
+# Inputs, stdout, stderr and exit codes of the `final` commands, recorded
+# on the README's Z example and on its witness with one corrupted record.
+def test_final_commands_match_the_recorded_reports(tmp_path, capsys, monkeypatch):
+    cases = recorded_cases("final", tmp_path, monkeypatch)
+    stored = json.loads((tmp_path / "witness.json").read_text(encoding="utf-8"))
+    stored["patch"]["y"][""]["x"][""] = "111"
+    write(tmp_path, "corrupted.json", stored)
+    assert len(cases) == 9
+    assert_recorded_reports(capsys, cases)
 
 
 # Stdout, stderr and exit codes of `ball`, `wp` and `grid cover` on the
 # Grigorchuk group, its `mealy` descriptor, Z × Grigorchuk and the
 # lamplighter automaton, recorded with minimal-automaton keys for every
 # automaton group, so that a new key must give the same reports.
-GROUP_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "groups")
-
-
 def test_group_commands_match_the_recorded_reports(tmp_path, capsys, monkeypatch):
-    shutil.copytree(GROUP_DATA, tmp_path, dirs_exist_ok=True)
-    monkeypatch.chdir(tmp_path)
-    with open("commands.json", encoding="utf-8") as f:
-        cases = json.load(f)
+    cases = recorded_cases("groups", tmp_path, monkeypatch)
     assert len(cases) == 7
-    for case in cases:
-        with open(case["out"], encoding="utf-8", newline="") as f:
-            expected = (case["exit"], f.read(), case["stderr"])
-        assert (case["name"], *run_cli(capsys, case["argv"])) == (case["name"], *expected)
+    assert_recorded_reports(capsys, cases)
+
+
+# Stdout, stderr and exit codes of `nn check` and `grid check`, each on a
+# clean and a violating input: golden-mean patches with holes, and the
+# `grid cover` labels of a Grigorchuk ball with and without one relabelled
+# cell.
+def test_check_commands_match_the_recorded_reports(tmp_path, capsys, monkeypatch):
+    cases = recorded_cases("checks", tmp_path, monkeypatch)
+    assert sorted(case["exit"] for case in cases) == [0, 0, 1, 1]
+    assert_recorded_reports(capsys, cases)
 
 
 # ---------------------------------------------------------------------------

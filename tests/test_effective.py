@@ -327,8 +327,6 @@ def reference_action_query(codec, forbidden, s, v, w, budget):
         verdict = reference_reject_word(codec, forbidden, word, budget)
         if verdict is not None:
             return verdict
-        if budget.exhausted:
-            return UNK
     blocks_v, blocks_w = codec.blocks(v), codec.blocks(w)
     merged = {n: reference_decode(codec, b) for n, b in enumerate(blocks_v) if n < len(codec.ball)}
     for m in range(min(len(blocks_w), len(codec.ball))):

@@ -158,12 +158,13 @@ def klein_four():
 
 
 def brute_force_ball(oracle, radius):
-    """Dedup all words of length <= radius by pairwise oracle equality."""
+    """Dedup all words of length <= radius by pairwise key comparison."""
     gens = [s for s in oracle.gens.symbols if s != oracle.gens.identity]
     classes = []
     for length in range(radius + 1):
         for word in itertools.product(gens, repeat=length):
-            if not any(oracle.equals(rep, word) for rep in classes):
+            key = oracle.canonical_key(word)
+            if not any(oracle.canonical_key(rep) == key for rep in classes):
                 classes.append(word)
     return classes
 
@@ -277,7 +278,7 @@ def test_decide_is_a_congruence_under_substitution():
             u = tuple(rng.choice(gens) for _ in range(rng.randint(0, 4)))
             pad = tuple(rng.choice(gens) for _ in range(rng.randint(1, 3)))
             v = u + pad + oracle.gens.word_inverse(pad)
-            assert oracle.equals(u, v)
+            assert oracle.canonical_key(u) == oracle.canonical_key(v)
             x = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
             y = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
             assert oracle.is_identity(x + u + y) == oracle.is_identity(x + v + y)

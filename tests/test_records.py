@@ -23,7 +23,6 @@ from groupshift.errors import BadLength, SchemaError, UnknownSymbol
 from groupshift.grid import (
     CoverFailure,
     GridLabel,
-    LocalCheckReport,
     OrbitTrace,
     PathCover,
     ProductGridPatch,
@@ -199,7 +198,6 @@ def test_patch2d_is_unhashable():
 # Builders for the records compared by identity.
 IDENTITY = {
     "ProductGridPatch": lambda: ProductGridPatch("p1", "p2"),
-    "LocalCheckReport": lambda: LocalCheckReport([], 1, 0),
     "PathCover": lambda: PathCover("ball", {0: 1}, {1: 0}),
     "CoverFailure": lambda: CoverFailure("no pair"),
     "SeedFailure": lambda: SeedFailure("no orbit"),
@@ -223,7 +221,7 @@ def test_identity_records_compare_by_identity(name):
 
 
 def test_every_record_is_pinned():
-    assert len(VALUES) + len(IDENTITY) == 22
+    assert len(VALUES) + len(IDENTITY) == 21
     assert not set(VALUES) & set(IDENTITY)
 
 
@@ -238,8 +236,6 @@ REPRS = [
      "output={'a': {'0': '1', '1': '0'}})"),
     (GridLabel("x-", "x"), "GridLabel(left='x-', right='x')"),
     (ProductGridPatch("p1", "p2"), "ProductGridPatch(patch1='p1', patch2='p2')"),
-    (LocalCheckReport([(0, "right", "x", None)], 1, 2),
-     "LocalCheckReport(violations=[(0, 'right', 'x', None)], satisfied=1, unchecked=2)"),
     (OrbitTrace("Path", (0, 1)), "OrbitTrace(kind='Path', cells=(0, 1), cycle_length=0)"),
     (PathCover("ball", {0: 1}, {1: 0}), "PathCover(ball='ball', succ={0: 1}, pred={1: 0})"),
     (CoverFailure("no pair"), "CoverFailure(reason='no pair')"),

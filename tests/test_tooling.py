@@ -1,5 +1,6 @@
-"""The benchmark's tracer finds every library function it wraps, and the
-CLI's imports stay free of modules that slow every process start."""
+"""The benchmark's tracer finds every library function it wraps, its
+in-process workloads run against the library, and the CLI's imports stay
+free of modules that slow every process start."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -69,3 +72,23 @@ def test_cli_import_does_not_load_dataclasses_or_inspect():
     cli = loaded_modules("groupshift.cli")
     assert "groupshift.cli" in cli
     assert {"dataclasses", "inspect"} & cli <= bare
+
+
+BENCH = ROOT / "bench"
+
+
+@pytest.mark.parametrize(
+    "module", ["workloads.assembly", "workloads.geometry", "workloads.oracle_stream"]
+)
+def test_in_process_benchmark_workloads_run_and_check_one_job(module, tmp_path, monkeypatch):
+    # The benchmark's workloads call the library as a user would; a change
+    # of the API they use fails here, not first in a benchmark run.  The
+    # `--quick` job list of `group-geometry` includes a cover job.
+    monkeypatch.syspath_prepend(str(BENCH))
+    workload = importlib.import_module(module).Workload(0, 1, str(tmp_path))
+    workload.quick()
+    workload.prepare()
+    for spec in workload.jobs:
+        job = workload.inputs(spec)
+        attempted, failed = workload.check(job, workload.run(job))
+        assert attempted > 0 and failed == 0
