@@ -182,19 +182,19 @@ def _displacement(ball: CayleyBall, h: int, target) -> str:
     """The first generator s with h·s equal to the target cell or word.
 
     A word the ball resolves is matched through the edges; only a target
-    outside the ball is keyed, against the products that leave it too.
+    outside the ball is keyed, against the key of h stepped by each
+    generator whose product leaves the ball too.
     """
     symbols = ball.oracle.gens.symbols
     cell = target if isinstance(target, int) else ball.resolve(tuple(target))
     if cell is not None:
         found = (s for s in symbols if ball.edges.get((h, s)) == cell)
     else:
-        key = ball.oracle.canonical_key(tuple(target))
-        source = ball.elements[h]
+        oracle = ball.oracle
+        key = oracle.canonical_key(tuple(target))
+        source = oracle.canonical_key(ball.elements[h])
         found = (
-            s
-            for s in symbols
-            if (h, s) not in ball.edges and ball.oracle.canonical_key(source + (s,)) == key
+            s for s in symbols if (h, s) not in ball.edges and oracle.key_step(source, s) == key
         )
     sym = next(found, None)
     if sym is None:

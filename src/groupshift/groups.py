@@ -4,11 +4,12 @@ A group is presented here only through a symmetric generating set and one
 exact canonical key: two words get equal keys exactly when they name the same
 group element.  The word problem, element equality and the deduplication of
 Cayley balls are all key comparisons, and everything downstream (balls,
-grids, codecs) is built on that interface, so adding a group means adding
-one oracle class with one method.  A ball grows one generator at a time and
-asks for the key of w·s given the key of w (`key_step`); groups whose keys
-compose (exponent vectors, reduced words, factor tuples and the portraits
-of contracting automaton groups) answer from the key alone.
+grids, codecs) is built on that interface.  An oracle is an identity key
+plus `key_step(key, s)`, the key of w·s given the key of w; the key of a
+word folds the step over its letters from the identity key, and a ball
+steps once per product it meets.  The keys are exponent vectors, reduced
+words, factor tuples, and for automaton groups portraits or minimal
+automata, so adding a group means adding one oracle class with one step.
 """
 
 from __future__ import annotations
@@ -70,23 +71,39 @@ class GeneratorSet(Value):
 
 
 class GroupOracle:
-    """Names the group element of each word over the generating set."""
+    """Names the group element of each word over the generating set.
 
-    def __init__(self, gens: GeneratorSet, descriptor: Optional[dict] = None):
+    An oracle defines `identity_key` and `key_step`; `canonical_key` folds
+    the step over a word from the identity key.
+    """
+
+    def __init__(self, gens: GeneratorSet, identity_key, descriptor: Optional[dict] = None):
         self.gens = gens
+        self.identity_key = identity_key
         self.descriptor = descriptor if descriptor is not None else {}
+
+    def key_step(self, key, sym: str):
+        """The key of w·sym, given the key of w, for a generator sym other
+        than the identity."""
+        raise NotImplementedError
 
     def canonical_key(self, word: Word):
         """A hashable key that is equal for two words exactly when they name
         the same group element; raises UnknownSymbol on a foreign symbol."""
-        raise NotImplementedError
-
-    def key_step(self, key, word: Word, sym: str):
-        """The key of word + (sym,), given the key of word."""
-        return self.canonical_key(word + (sym,))
+        identity = self.gens.identity
+        inverse = self.gens.inverse
+        step = self.key_step
+        key = self.identity_key
+        for sym in word:
+            if sym == identity:
+                continue
+            if sym not in inverse:
+                raise UnknownSymbol(sym)
+            key = step(key, sym)
+        return key
 
     def is_identity(self, word: Word) -> bool:
-        return self.canonical_key(word) == self.canonical_key(EPSILON)
+        return self.canonical_key(word) == self.identity_key
 
 
 def _axis_names(rank: int) -> tuple[str, ...]:
@@ -107,7 +124,7 @@ def _paired_generators(names: tuple[str, ...]) -> GeneratorSet:
 
 
 class FreeAbelianOracle(GroupOracle):
-    """Free abelian group of a given rank; words are exponent-summed."""
+    """Free abelian group of a given rank; the key is the exponent vector."""
 
     def __init__(self, rank: int):
         if rank < 1:
@@ -115,6 +132,7 @@ class FreeAbelianOracle(GroupOracle):
         names = _axis_names(rank)
         super().__init__(
             _paired_generators(names),
+            (0,) * rank,
             {"kind": "free_abelian", "rank": rank},
         )
         self.rank = rank
@@ -123,60 +141,22 @@ class FreeAbelianOracle(GroupOracle):
             self._axis[name] = (i, 1)
             self._axis[name + "-"] = (i, -1)
 
-    def _vector(self, word: Word) -> tuple[int, ...]:
-        totals = [0] * self.rank
-        for sym in word:
-            if sym == IDENTITY:
-                continue
-            if sym not in self._axis:
-                raise UnknownSymbol(sym)
-            i, step = self._axis[sym]
-            totals[i] += step
-        return tuple(totals)
-
-    def canonical_key(self, word: Word):
-        return self._vector(word)
-
-    def key_step(self, key, word: Word, sym: str):
-        if sym == IDENTITY:
-            return key
-        if sym not in self._axis:
-            raise UnknownSymbol(sym)
+    def key_step(self, key, sym: str):
         i, step = self._axis[sym]
         return key[:i] + (key[i] + step,) + key[i + 1:]
 
 
 class FreeGroupOracle(GroupOracle):
-    """Free group of a given rank; words are freely reduced."""
+    """Free group of a given rank; the key is the freely reduced word."""
 
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be positive")
         names = _axis_names(rank)
-        super().__init__(_paired_generators(names), {"kind": "free", "rank": rank})
+        super().__init__(_paired_generators(names), (), {"kind": "free", "rank": rank})
         self.rank = rank
 
-    def _reduce(self, word: Word) -> Word:
-        stack: list[str] = []
-        for sym in word:
-            if sym == IDENTITY:
-                continue
-            if sym not in self.gens.inverse:
-                raise UnknownSymbol(sym)
-            if stack and stack[-1] == self.gens.inverse[sym]:
-                stack.pop()
-            else:
-                stack.append(sym)
-        return tuple(stack)
-
-    def canonical_key(self, word: Word):
-        return self._reduce(word)
-
-    def key_step(self, key, word: Word, sym: str):
-        if sym == IDENTITY:
-            return key
-        if sym not in self.gens.inverse:
-            raise UnknownSymbol(sym)
+    def key_step(self, key, sym: str):
         if key and key[-1] == self.gens.inverse[sym]:
             return key[:-1]
         return key + (sym,)
@@ -241,6 +221,27 @@ def _refine(rows: list) -> list:
         cls, count = refined, len(names)
 
 
+def _minimal(rows: list) -> tuple:
+    """The minimal automaton of an automaton whose rows are all reachable
+    from row 0: its classes of rows that act alike, renumbered breadth-first
+    from the class of row 0."""
+    cls = _refine(rows)
+    first = {}
+    for v, c in enumerate(cls):
+        first.setdefault(c, v)
+    order = {cls[0]: 0}
+    queue = [cls[0]]
+    key = []
+    for c in queue:
+        swapped, i, j = rows[first[c]]
+        for d in (cls[i], cls[j]):
+            if d not in order:
+                order[d] = len(order)
+                queue.append(d)
+        key.append((swapped, order[cls[i]], order[cls[j]]))
+    return tuple(key)
+
+
 def mealy_apply(automaton: MealyAutomaton, state_word: tuple[str, ...], bits: str) -> str:
     """Apply a composition of states to a binary string, rightmost state first."""
     for b in bits:
@@ -260,31 +261,30 @@ class MealyGroupOracle(GroupOracle):
     An element acts on the binary tree by a root swap and two sections, the
     elements it applies below bit 0 and bit 1; two elements are equal
     exactly when their swaps and sections are.  The states, merged where
-    they act alike, are the atoms, with the identity as atom 0.  When the
-    group is contracting over its states, every element has one finite
-    portrait, the canonical key: the atom it equals, if any, and otherwise
-    the triple (swap, portrait at 0, portrait at 1).  The key is exact: the
-    portrait is defined from the element alone, so equal words get equal
-    keys, and it determines the element (an atom is one element, and a
-    triple fixes the swap and both sections), so unequal words get unequal
-    keys.  Multiplying keeps portraits in this form: a triple whose parts
-    are an atom's swap and sections becomes that atom.  The constructor
-    tabulates x·q for every pair of atoms, and multiplying a portrait by a
-    state rewrites its branches down to that table, so the key of w·s comes
-    from the key of w.
+    they act alike, are the atoms, with the identity as atom 0.  A
+    generator steps the key by its atoms one at a time: the key of w·q
+    comes from the key of w, and q acts first, so the section of w·q at
+    bit b is w's section at q(b) times q's section at b.
+
+    When the group is contracting over its states, every element has one
+    finite portrait, the key: the atom it equals, if any, and otherwise the
+    triple (swap, portrait at 0, portrait at 1).  The portrait is defined
+    from the element alone, so equal words get equal keys, and it
+    determines the element (an atom is one element, and a triple fixes the
+    swap and both sections), so unequal words get unequal keys.  A triple
+    whose parts are an atom's swap and sections becomes that atom.  The
+    constructor tabulates x·q for every pair of atoms, and multiplying a
+    portrait by an atom rewrites its branches down to that table.
 
     The table fails to close when its pairs run into a cycle of products
-    that are not atoms (the lamplighter automaton does); such an automaton
-    keeps the minimal automaton of the section closure as its key (`_key`).
-    The iterated sections of a state word form a finite closure (sections
-    never get longer once trivial states are stripped); Moore partition
-    refinement on (root swap, class of section 0, class of section 1)
-    merges the section words that act alike, and a breadth-first
-    renumbering from the word itself makes the quotient canonical.  One
-    such refinement over the identity, the states and all two-state words
-    gives the constructor the atoms, the atom products that are atoms, and
-    the pair rules p·q = 1 or p·q = r for a single state r that keep section
-    words short.
+    that are not atoms (the lamplighter automaton does).  Such a group is
+    keyed by the minimal automaton of the element instead: the rows (root
+    swap, section 0, section 1) of its distinct sections, numbered
+    breadth-first from the element.  Multiplying by an atom q builds the
+    product automaton of the pairs (row, atom), refines it and renumbers
+    it.  The constructor finds the atoms by one refinement of the automaton
+    itself, and the atom products that are atoms by one refinement of the
+    product automaton of all atom pairs.
     """
 
     def __init__(
@@ -305,63 +305,53 @@ class MealyGroupOracle(GroupOracle):
         for name, inv in inverse.items():
             if inv not in inverse:
                 raise ValueError(f"inverse {inv!r} of {name!r} is not a generator")
-        super().__init__(GeneratorSet(tuple(symbols), inverse), descriptor)
+        gens = GeneratorSet(tuple(symbols), inverse)
         self.automaton = automaton
         self.generators = {name: tuple(word) for name, word in generators.items()}
         for name, word in self.generators.items():
             for q in word:
                 if q not in automaton.states:
                     raise ValueError(f"generator {name!r} uses unknown state {q!r}")
-        active = [q for q in automaton.states if not automaton.is_trivial_state(q)]
-        self._active = set(active)
-        # Per state: whether it swaps at the root, and its non-trivial
-        # sections as (input bit, state) pairs.
-        self._moves = {}
+        # One Moore refinement over the identity (row 0) and the states
+        # tells which of them act alike.  Atoms: the identity, then each
+        # state that acts unlike every earlier one.
+        number = {q: i for i, q in enumerate(automaton.states, 1)}
+        rows = [(0, 0, 0)]
         for q in automaton.states:
-            sections = enumerate((automaton.transition[q]["0"], automaton.transition[q]["1"]))
-            self._moves[q] = (
-                int(automaton.swaps(q)),
-                tuple((b, t) for b, t in sections if t in self._active),
-            )
-        # The identity, the active states and their products p·q, with
-        # their sections: these words are closed under sections (the
-        # section of p·q at b is p's section at q(b) times q's section at
-        # b), so one Moore refinement tells which of them act alike.
-        self._pairs: dict[tuple[str, str], tuple[str, ...]] = {}
-        pairs = [(p, q) for p in active for q in active]
-        cls = _refine(self._closure([()] + [(r,) for r in active] + pairs))
-        # Atoms: the identity, then each state that acts unlike every
-        # earlier one, with one state word each.
-        atom_of_class = {cls[0]: 0}
-        words = [()]
-        atom = dict.fromkeys(automaton.states, 0)
-        for i, r in enumerate(active, 1):
-            atom[r] = atom_of_class.setdefault(cls[i], len(words))
-            if atom[r] == len(words):
-                words.append((r,))
-        n = len(words)
-        products = [[x if q == 0 else q if x == 0 else None for q in range(n)] for x in range(n)]
-        for i, (p, q) in enumerate(pairs, 1 + len(active)):
-            product = atom_of_class.get(cls[i])
-            if product is not None:
-                self._pairs[(p, q)] = words[product]
-                products[atom[p]][atom[q]] = product
+            t = automaton.transition[q]
+            rows.append((int(automaton.swaps(q)), number[t["0"]], number[t["1"]]))
+        classes: dict = {}
+        atoms = [classes.setdefault(c, len(classes)) for c in _refine(rows)]
+        n = len(classes)
         # Per atom: (root swap, atom of section 0, atom of section 1).
-        self._triples = [(0, 0, 0)]
-        for (r,) in words[1:]:
-            t = automaton.transition[r]
-            self._triples.append((self._moves[r][0], atom[t["0"]], atom[t["1"]]))
+        self._triples = [(0, 0, 0)] * n
+        for (swapped, i, j), x in zip(rows, atoms):
+            self._triples[x] = (swapped, atoms[i], atoms[j])
         self._atoms = {triple: x for x, triple in enumerate(self._triples)}
-        self._letters = {IDENTITY: ()}
-        for name, word in self.generators.items():
-            self._letters[name] = tuple(atom[q] for q in word if atom[q])
+        atom = dict(zip(automaton.states, atoms[1:]))
+        self._letters = {
+            name: tuple(atom[q] for q in word if atom[q]) for name, word in self.generators.items()
+        }
+        # The product automaton of all atom pairs, the row x·n + q acting as
+        # x·q (so x·0 as x): one more refinement tells which are atoms.
+        rows = []
+        for swapped, *sections in self._triples:
+            for swap, q0, q1 in self._triples:
+                rows.append((swapped ^ swap, sections[swap] * n + q0, sections[1 ^ swap] * n + q1))
+        cls = _refine(rows)
+        of_class = {cls[x * n]: x for x in range(n)}
+        products = [[of_class.get(cls[x * n + q]) for q in range(n)] for x in range(n)]
         self._products = self._close(products)
-        identity = self.canonical_key(())
+        if self._products is None:
+            self._times, identity_key = self._automaton_times, ((0, 0, 0),)
+        else:
+            self._times, identity_key = self._portrait_times, 0
+        super().__init__(gens, identity_key, descriptor)
         for name, inv in inverse.items():
             if name == IDENTITY or name < inv:
                 continue
             # Validate declared (and default self-) inverses once, up front.
-            if self.canonical_key((name, inv)) != identity:
+            if self.canonical_key((name, inv)) != self.identity_key:
                 raise ValueError(f"{name!r} and {inv!r} are not mutually inverse")
 
     def _close(self, products):
@@ -392,10 +382,13 @@ class MealyGroupOracle(GroupOracle):
             return self._atoms.get((swap, k0, k1), (swap, k0, k1))
         return (swap, k0, k1)
 
-    def _times(self, key, q: int):
-        """The portrait of key·q for an atom q other than the identity: q
-        acts first, so the section at bit b is key's section at q(b) times
-        q's section at b."""
+    def key_step(self, key, sym: str):
+        for q in self._letters[sym]:
+            key = self._times(key, q)
+        return key
+
+    def _portrait_times(self, key, q: int):
+        """The portrait of key·q for an atom q other than the identity."""
         if type(key) is int:
             return self._products[key][q]
         swapped, k0, k1 = key
@@ -403,87 +396,32 @@ class MealyGroupOracle(GroupOracle):
         if swap:
             k0, k1 = k1, k0
         if q0:
-            k0 = self._times(k0, q0)
+            k0 = self._portrait_times(k0, q0)
         if q1:
-            k1 = self._times(k1, q1)
+            k1 = self._portrait_times(k1, q1)
         return self._node(swapped ^ swap, k0, k1)
 
-    def _fold(self, key, word: Word):
-        """The portrait of (the element of key)·word."""
-        for sym in word:
-            if sym not in self._letters:
-                raise UnknownSymbol(sym)
-            for q in self._letters[sym]:
-                key = self._times(key, q)
-        return key
-
-    def _push(self, stack: list[str], q: str) -> None:
-        """Append a non-trivial state to a section word, applying the pair rules."""
-        while stack:
-            product = self._pairs.get((stack[-1], q))
-            if product is None:
-                break
-            stack.pop()
-            if not product:
-                return
-            (q,) = product
-        stack.append(q)
-
-    def _reduce(self, state_word: tuple[str, ...]) -> tuple[str, ...]:
-        stack: list[str] = []
-        for q in state_word:
-            if q in self._active:
-                self._push(stack, q)
-        return tuple(stack)
-
-    def _sections(self, state_word: tuple[str, ...]):
-        """(acts at the root, section word at 0, section word at 1)."""
-        sec = ([], [])
-        swapped = 0
-        for q in state_word:
-            # Read left to right: q's section at bit b follows the prefix's
-            # section at q(b), so a swapping state exchanges the two words.
-            swaps, moves = self._moves[q]
-            swapped ^= swaps
-            for b, t in moves:
-                self._push(sec[b ^ swapped], t)
-        return bool(swapped), tuple(sec[swapped]), tuple(sec[1 ^ swapped])
-
-    def _closure(self, words: list) -> list:
-        """Rows (root swap, number of section 0, number of section 1) of the
-        section closure of some distinct state words, numbered in the order
-        given and then breadth-first."""
-        number = {v: i for i, v in enumerate(words)}
-        closure = list(words)
+    def _automaton_times(self, key, q: int):
+        """The minimal automaton of key·q for an atom q: the product
+        automaton of the pairs (row r of the key, atom t), each acting as
+        r·t, from (0, q), refined and renumbered."""
+        number = {(0, q): 0}
+        pairs = [(0, q)]
         rows = []
-        for v in closure:
-            swapped, s0, s1 = self._sections(v)
-            for s in (s0, s1):
-                if s not in number:
-                    number[s] = len(closure)
-                    closure.append(s)
-            rows.append((swapped, number[s0], number[s1]))
-        return rows
-
-    def _key(self, state_word: tuple[str, ...]):
-        """The minimal automaton of the word's section closure."""
-        rows = self._closure([self._reduce(state_word)])
-        cls = _refine(rows)
-        # The quotient, its classes renumbered breadth-first from the word.
-        first = {}
-        for v, c in enumerate(cls):
-            first.setdefault(c, v)
-        order = {cls[0]: 0}
-        queue = [cls[0]]
-        key = []
-        for c in queue:
-            swapped, i, j = rows[first[c]]
-            for d in (cls[i], cls[j]):
-                if d not in order:
-                    order[d] = len(order)
-                    queue.append(d)
-            key.append((swapped, order[cls[i]], order[cls[j]]))
-        return tuple(key)
+        for r, t in pairs:
+            swapped, k0, k1 = key[r]
+            swap, t0, t1 = self._triples[t]
+            if swap:
+                k0, k1 = k1, k0
+            row = [swapped ^ swap]
+            for pair in ((k0, t0), (k1, t1)):
+                j = number.get(pair)
+                if j is None:
+                    j = number[pair] = len(pairs)
+                    pairs.append(pair)
+                row.append(j)
+            rows.append(tuple(row))
+        return _minimal(rows)
 
     def _state_word(self, word: Word) -> tuple[str, ...]:
         states: list[str] = []
@@ -494,36 +432,6 @@ class MealyGroupOracle(GroupOracle):
                 raise UnknownSymbol(sym)
             states.extend(self.generators[sym])
         return tuple(states)
-
-    def canonical_key(self, word: Word):
-        if self._products is None:
-            return self._key(self._state_word(word))
-        return self._fold(0, word)
-
-    def key_step(self, key, word: Word, sym: str):
-        if self._products is None:
-            return super().key_step(key, word, sym)
-        return self._fold(key, (sym,))
-
-    def is_identity(self, word: Word) -> bool:
-        """True when no word of the section closure swaps at the root.
-
-        The closure holds the section of the word at every vertex of the
-        tree, so the word acts trivially exactly when none of them swaps;
-        the walk stops at the first swap and needs no Moore refinement.
-        """
-        start = self._reduce(self._state_word(word))
-        closure = [start]
-        seen = {start}
-        for v in closure:
-            swapped, s0, s1 = self._sections(v)
-            if swapped:
-                return False
-            for s in (s0, s1):
-                if s not in seen:
-                    seen.add(s)
-                    closure.append(s)
-        return True
 
     def apply(self, word: Word, bits: str) -> str:
         return mealy_apply(self.automaton, self._state_word(word), bits)
@@ -581,35 +489,13 @@ class ProductOracle(GroupOracle):
             "kind": "product",
             "factors": [f.descriptor for f in factors],
         }
-        super().__init__(GeneratorSet(tuple(symbols), inverse), descriptor)
+        identity_key = tuple(f.identity_key for f in factors)
+        super().__init__(GeneratorSet(tuple(symbols), inverse), identity_key, descriptor)
         self.factors = list(factors)
 
-    def project(self, word: Word, i: int) -> Word:
-        out = []
-        for sym in word:
-            if sym == IDENTITY:
-                continue
-            if sym not in self._slot:
-                raise UnknownSymbol(sym)
-            j, original = self._slot[sym]
-            if j == i:
-                out.append(original)
-        return tuple(out)
-
-    def canonical_key(self, word: Word):
-        return tuple(
-            factor.canonical_key(self.project(word, i))
-            for i, factor in enumerate(self.factors)
-        )
-
-    def key_step(self, key, word: Word, sym: str):
-        if sym == IDENTITY:
-            return key
-        if sym not in self._slot:
-            raise UnknownSymbol(sym)
+    def key_step(self, key, sym: str):
         i, original = self._slot[sym]
-        step = self.factors[i].key_step(key[i], self.project(word, i), original)
-        return key[:i] + (step,) + key[i + 1:]
+        return key[:i] + (self.factors[i].key_step(key[i], original),) + key[i + 1:]
 
 
 class CayleyBall:
@@ -694,7 +580,7 @@ def _grown_ball(oracle: GroupOracle, done, max_elements: int) -> CayleyBall:
     extend = [s for s in gens.symbols if s != gens.identity]
     elements: list[Word] = [EPSILON]
     distance: list[int] = [0]
-    keys = [oracle.canonical_key(EPSILON)]
+    keys = [oracle.identity_key]
     keyed = {keys[0]: 0}
     products: dict[tuple[int, str], int] = {}
     sphere = [0]
@@ -706,7 +592,7 @@ def _grown_ball(oracle: GroupOracle, done, max_elements: int) -> CayleyBall:
             for sym in extend:
                 if (i, sym) in products:
                     continue
-                key = step(keys[i], elements[i], sym)
+                key = step(keys[i], sym)
                 j = keyed.get(key)
                 if j is None:
                     if len(elements) >= max_elements:
@@ -724,7 +610,7 @@ def _grown_ball(oracle: GroupOracle, done, max_elements: int) -> CayleyBall:
     for i in sphere:
         for sym in extend:
             if (i, sym) not in products:
-                j = keyed.get(step(keys[i], elements[i], sym))
+                j = keyed.get(step(keys[i], sym))
                 if j is not None:
                     products[(i, sym)] = j
                     products[(j, inverse[sym])] = i

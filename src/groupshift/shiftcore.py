@@ -14,13 +14,12 @@ from typing import Iterable, Optional
 
 from .errors import (
     AlphabetMismatch,
-    OutOfBall,
     Record,
     ResourceLimit,
     SchemaError,
     Value,
 )
-from .groups import CayleyBall, Word
+from .groups import Word
 
 HOLE = None
 
@@ -298,24 +297,3 @@ def patch_extension_search(
     if not solve(holes):
         return None
     return Patch2D(partial.x0, partial.y0, partial.width, partial.height, cells)
-
-
-def pattern_occurs(ball: CayleyBall, values, pattern: Pattern, at) -> bool:
-    """Does the pattern occur in a ball patch at the given translate?
-
-    `values` maps element indices to symbols and must cover every translate;
-    `at` is an element index or a word over the ball's generator set.
-    """
-    if isinstance(at, int):
-        base = ball.elements[at]
-    else:
-        base = tuple(at)
-        if ball.resolve(base) is None:
-            raise OutOfBall(f"base {base!r} is outside the ball")
-    resolved = []
-    for h in pattern.support:
-        idx = ball.resolve(base + h)
-        if idx is None:
-            raise OutOfBall(f"translate of {h!r} leaves the ball")
-        resolved.append((idx, h))
-    return all(values[idx] == pattern.values[h] for idx, h in resolved)

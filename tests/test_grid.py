@@ -531,26 +531,41 @@ def keyed_displacement(ball, h, target):
 
 
 def count_keys(monkeypatch, oracle):
-    calls = Counter()
-    original = oracle.canonical_key
+    """Counters of the words keyed whole, and of the (key, generator) steps
+    taken apart from keying a whole word."""
+    calls, steps = Counter(), Counter()
+    original, step = oracle.canonical_key, oracle.key_step
+    keying = []
 
     def counting(word):
         calls[tuple(word)] += 1
-        return original(word)
+        keying.append(word)
+        try:
+            return original(word)
+        finally:
+            keying.pop()
+
+    def stepping(key, sym):
+        if not keying:
+            steps[key, sym] += 1
+        return step(key, sym)
 
     monkeypatch.setattr(oracle, "canonical_key", counting)
-    return calls
+    monkeypatch.setattr(oracle, "key_step", stepping)
+    return calls, steps
 
 
 def test_line_grid_keys_only_targets_outside_the_ball(monkeypatch):
     ball = line_ball(19)
-    calls = count_keys(monkeypatch, ball.oracle)
+    calls, steps = count_keys(monkeypatch, ball.oracle)
     patch = line_patch_on(ball)
     assert all(label == GridLabel("x-", "x") for label in patch.labels.values())
     # x^20 and x-^20 leave the ball: each is keyed by resolve and as the
-    # target, and only the one product that also leaves the ball is keyed.
+    # target, its source x^19 once, and only the one product that also
+    # leaves the ball is stepped.
     outside = [("x",) * 20, ("x-",) * 20]
-    assert calls == Counter({word: 2 for word in outside}) + Counter(outside)
+    assert calls == Counter({word: 2 for word in outside}) + Counter(w[1:] for w in outside)
+    assert steps == Counter({((19,), "x"): 1, ((-19,), "x-"): 1})
 
 
 def line_patch_on(ball):
@@ -579,13 +594,20 @@ def test_word_targets_give_the_keyed_labels(monkeypatch, oracle, radius, step, b
         h: GridLabel(keyed_displacement(ball, h, pred[h]), keyed_displacement(ball, h, succ[h]))
         for h in range(len(ball))
     }
-    calls = count_keys(monkeypatch, ball.oracle)
+    sources = {
+        ball.elements[h]
+        for h in range(len(ball))
+        if ball.resolve(succ[h]) is None or ball.resolve(pred[h]) is None
+    }
+    step = ball.oracle.key_step
+    calls, steps = count_keys(monkeypatch, ball.oracle)
     patch = from_translation_action(ball, succ, pred)
     assert dict(patch.labels) == expected
-    # Only words outside the ball are keyed: targets, and products that
-    # leave the ball as those targets do.
-    assert calls
-    assert all(ball.resolve(word) is None for word in calls)
+    # Only targets outside the ball and their sources are keyed whole, and
+    # only products that leave the ball as those targets do are stepped.
+    assert calls and steps
+    assert all(ball.resolve(word) is None or word in sources for word in calls)
+    assert all(ball._keyed.get(step(key, sym)) is None for key, sym in steps)
 
 
 def reference_seed(omega, c, sft=None):

@@ -476,10 +476,47 @@ def grigorchuk_descriptor_oracle():
     )
 
 
+def walk_is_identity(oracle, word) -> bool:
+    """Reference word problem for automaton groups, kept apart from the keys:
+    walk the section words of the word's states breadth-first, trivial
+    states dropped, and answer False at the first one that swaps at the root.
+
+    A section word holds at most as many states as its parent, so the walk
+    meets finitely many words; it visits the section at every vertex of the
+    tree, so the word acts trivially exactly when none of them swaps.
+    """
+    machine = oracle.automaton
+
+    def nontrivial(states):
+        return tuple(q for q in states if not machine.is_trivial_state(q))
+
+    start = nontrivial(q for sym in word if sym != "1" for q in oracle.generators[sym])
+    closure = [start]
+    seen = {start}
+    for v in closure:
+        # Read left to right, sections[b ^ swapped] collects the section at
+        # bit b: a later state acts first, so a swap moves the earlier
+        # states' sections to the other bit.
+        sections = ([], [])
+        swapped = 0
+        for q in v:
+            swapped ^= machine.swaps(q)
+            for b in "01":
+                sections[int(b) ^ swapped].append(machine.transition[q][b])
+        if swapped:
+            return False
+        for s in map(nontrivial, sections):
+            if s not in seen:
+                seen.add(s)
+                closure.append(s)
+    return True
+
+
 IDENTITY_ORACLES = {
     "grigorchuk": GrigorchukOracle(),
     "mealy-descriptor": grigorchuk_descriptor_oracle(),
     "adding-machine": adding_machine(),
+    "lamplighter": lamplighter(),
 }
 
 
@@ -492,8 +529,14 @@ def test_mealy_identity_walk_matches_the_canonical_key(name, data):
     u = tuple(data.draw(st.lists(letters, max_size=12)))
     v = tuple(data.draw(st.lists(letters, max_size=3)))
     # u·v·u⁻¹ is the identity exactly when v is, so both answers are common.
-    for w in (u, u + v + oracle.gens.word_inverse(u)):
-        assert oracle.is_identity(w) == (oracle.canonical_key(w) == oracle.canonical_key(()))
+    w = u + v + oracle.gens.word_inverse(u)
+    for x in (u, w):
+        assert walk_is_identity(oracle, x) == oracle.is_identity(x)
+        assert oracle.is_identity(x) == (oracle.canonical_key(x) == oracle.canonical_key(()))
+    # Two words get one key exactly when the walk finds u·x⁻¹ trivial.
+    for x in (u + v, w + u):
+        same = walk_is_identity(oracle, u + oracle.gens.word_inverse(x))
+        assert (oracle.canonical_key(u) == oracle.canonical_key(x)) == same
 
 
 def test_adding_machine_ball_is_a_segment_of_the_line():
@@ -647,7 +690,8 @@ def test_grigorchuk_ball_keys_each_product_once():
     oracle = GrigorchukOracle()
     calls = []
     step = oracle.key_step
-    oracle.key_step = lambda key, word, sym: calls.append(word + (sym,)) or step(key, word, sym)
+    # Keys name elements, so (key, generator) names the product.
+    oracle.key_step = lambda key, sym: calls.append((key, sym)) or step(key, sym)
     ball = cayley_ball(oracle, 6)
     assert len(ball) == 108
     assert len(calls) <= 254
@@ -666,9 +710,22 @@ def test_key_step_extends_the_key_by_one_generator(data):
     word = tuple(data.draw(st.lists(letters, max_size=10)))
     sym = data.draw(letters)
     key = oracle.canonical_key(word)
-    assert oracle.key_step(key, word, sym) == oracle.canonical_key(word + (sym,))
+    stepped = key if sym == oracle.gens.identity else oracle.key_step(key, sym)
+    assert stepped == oracle.canonical_key(word + (sym,))
     with pytest.raises(UnknownSymbol):
-        oracle.key_step(key, word, "?")
+        oracle.canonical_key(word + ("?",))
+
+
+def automaton_key(oracle, word):
+    """The minimal-automaton key of a word, whichever key the oracle uses:
+    the automaton step folded over the word's atoms from the identity
+    automaton."""
+    key = ((0, 0, 0),)
+    for sym in word:
+        if sym != oracle.gens.identity:
+            for q in oracle._letters[sym]:
+                key = oracle._automaton_times(key, q)
+    return key
 
 
 CONTRACTING = {
@@ -692,7 +749,7 @@ def test_portrait_keys_split_words_like_the_minimal_automaton(name, data):
     prefix = tuple(data.draw(tails))
     words = [prefix + tuple(data.draw(tails)) for _ in range(4)]
     portraits = [oracle.canonical_key(w) for w in words]
-    automata = [oracle._key(oracle._state_word(w)) for w in words]
+    automata = [automaton_key(oracle, w) for w in words]
     for p, a in zip(portraits, automata):
         assert [p == q for q in portraits] == [a == b for b in automata]
 
@@ -707,7 +764,7 @@ def test_lamplighter_keeps_the_minimal_automaton_key():
     assert list(ball.edges.items()) == list(edges.items())
     assert list(ball._keyed.items()) == list(keyed.items())
     for word in ball.elements[::7]:
-        assert oracle.canonical_key(word) == oracle._key(oracle._state_word(word))
+        assert oracle.canonical_key(word) == automaton_key(oracle, word)
 
 
 def test_long_grigorchuk_words_key_without_deep_recursion():

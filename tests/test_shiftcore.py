@@ -1,4 +1,4 @@
-"""Planar patches, extension search, and ball patterns."""
+"""Planar patches, extension search, and SFT descriptors."""
 
 from __future__ import annotations
 
@@ -7,19 +7,16 @@ import random
 
 import pytest
 
-from groupshift.errors import AlphabetMismatch, OutOfBall
-from groupshift.groups import FreeAbelianOracle, cayley_ball, parse_word
+from groupshift.errors import AlphabetMismatch
 from groupshift.shiftcore import (
     Alphabet,
     NNSFT2D,
     Patch2D,
-    Pattern,
     check_patch_nn,
     full_shift,
     patch_extension_search,
     patch_from_descriptor,
     patch_to_descriptor,
-    pattern_occurs,
     sft_from_descriptor,
 )
 
@@ -136,26 +133,6 @@ def test_extension_search_agrees_with_exhaustive_enumeration():
         if found is not None:
             assert check_patch_nn(sft, found) == []
             assert all(found.get(x, y) is not None for (x, y) in found.positions())
-
-
-def test_pattern_occurs_on_a_line_ball():
-    ball = cayley_ball(FreeAbelianOracle(1), 4)
-    # Patch holding ...0 1 0 1 0... by parity of the displacement.
-    values = {}
-    for i, word in enumerate(ball.elements):
-        net = word.count("x") - word.count("x-")
-        values[i] = "1" if net % 2 else "0"
-    adjacent_ones = Pattern.from_pairs([((), "1"), (("x",), "1")])
-    for i, word in enumerate(ball.elements):
-        if ball.distance[i] >= 4:
-            continue
-        assert not pattern_occurs(ball, values, adjacent_ones, i)
-    empty = Pattern.from_pairs([])
-    assert pattern_occurs(ball, values, empty, 0)
-    single = Pattern.from_pairs([((), "0")])
-    assert pattern_occurs(ball, values, single, 0)
-    with pytest.raises(OutOfBall):
-        pattern_occurs(ball, values, adjacent_ones, ball.index[parse_word("x x x x")])
 
 
 def test_patch_descriptor_round_trip():

@@ -54,6 +54,19 @@ def test_every_traced_groupshift_target_resolves():
             assert method in vars(getattr(module, cls_name)), where
 
 
+def test_only_the_base_oracle_defines_canonical_key():
+    # Every group keys a word by folding its `key_step` from its identity
+    # key; a class with a `canonical_key` of its own would be a second
+    # mechanism beside that one.
+    groups = importlib.import_module("groupshift.groups")
+    owners = [
+        name
+        for name, cls in vars(groups).items()
+        if inspect.isclass(cls) and "canonical_key" in vars(cls)
+    ]
+    assert owners == ["GroupOracle"]
+
+
 def loaded_modules(*imports):
     """The `sys.modules` names of a fresh interpreter after the imports."""
     code = "".join(f"import {name}\n" for name in imports) + "import sys\nprint(*sorted(sys.modules))\n"
