@@ -17,6 +17,7 @@ factor is, else Respected.
 from __future__ import annotations
 
 import itertools
+import sys
 from enum import Enum
 
 from .errors import GroupshiftError, Record, ResourceLimit, SchemaError, Value
@@ -28,6 +29,7 @@ from .groups import (
     cells_from_words,
     cells_to_words,
 )
+from .shiftcore import Budget, extension_search
 
 
 class PeriodStatus(Enum):
@@ -127,10 +129,9 @@ def square_free_verify(cb: ColoredBall, max_len: int, budget: int | None = None)
     adj = [sorted(cb.ball.neighbors(h)) for h in range(len(cb.ball))]
     colors = cb.colors
     violations: list[tuple[int, ...]] = []
-    steps = 0
+    extensions = Budget(sys.maxsize if budget is None else budget)
 
     def walk(path: list[int], used: set[int]) -> None:
-        nonlocal steps
         length = len(path)
         if length % 2 == 0 and path[0] < path[-1]:
             half = length // 2
@@ -141,8 +142,7 @@ def square_free_verify(cb: ColoredBall, max_len: int, budget: int | None = None)
         for nxt in adj[path[-1]]:
             if nxt in used:
                 continue
-            steps += 1
-            if budget is not None and steps > budget:
+            if not extensions.spend():
                 raise ResourceLimit(f"path enumeration exceeded {budget} extensions")
             path.append(nxt)
             used.add(nxt)
@@ -209,25 +209,14 @@ def square_free_search(
         raise ValueError("need at least one color")
     _check_even_length(max_len)
     adj = [sorted(ball.neighbors(h)) for h in range(len(ball))]
-    n = len(ball)
-    colors: dict[int, int] = {}
-    steps = 0
-
-    def assign(i: int) -> bool:
-        nonlocal steps
-        if i == n:
-            return True
-        for c in range(k):
-            steps += 1
-            if budget is not None and steps > budget:
-                raise ResourceLimit(f"coloring search exceeded {budget} assignments")
-            colors[i] = c
-            if not _square_through(i, colors, adj, max_len) and assign(i + 1):
-                return True
-            del colors[i]
-        return False
-
-    if not assign(0):
+    colors = extension_search(
+        range(len(ball)),
+        lambda open_cells, _: (open_cells[0], range(k)),
+        Budget(sys.maxsize if budget is None else budget),
+        f"coloring search exceeded {budget} assignments",
+        lambda h, colored: not _square_through(h, colored, adj, max_len),
+    )
+    if colors is None:
         return ColoringFailure(
             f"no {k}-coloring of the ball avoids repetitions up to length {max_len}"
         )
@@ -353,31 +342,23 @@ def product_aperiodicity_probe(
 def z_sft_periodic_point(alphabet, allowed) -> str | None:
     """Least periodic row of a nearest-neighbour shift on a line.
 
-    Symbols with no usable successor or predecessor are trimmed until the
-    transition graph stabilizes; the result is the smallest word under
-    (length, lexicographic) order all of whose cyclic neighbour pairs are
-    allowed, or None when no cycle survives.
+    The result is the smallest word under (length, lexicographic) order all
+    of whose cyclic neighbour pairs are allowed, or None when there is none.
+    A shortest such word visits no symbol twice, so it is searched for on
+    Z/n for n up to the alphabet size.
     """
     allowed = set(allowed)
-    alive = set(alphabet)
-    changed = True
-    while changed:
-        changed = False
-        for sym in sorted(alive):
-            has_succ = any((sym, t) in allowed for t in alive)
-            has_pred = any((t, sym) in allowed for t in alive)
-            if not (has_succ and has_pred):
-                alive.remove(sym)
-                changed = True
-    if not alive:
-        return None
-    order = sorted(alive)
-    for length in range(1, len(order) + 1):
-        for word in itertools.product(order, repeat=length):
-            if all(
-                (word[i], word[(i + 1) % length]) in allowed for i in range(length)
-            ):
-                return "".join(word)
+    order = sorted(set(alphabet))
+
+    def fits(i, w):  # n is the length being searched
+        return (i == 0 or (w[i - 1], w[i]) in allowed) and (i < n - 1 or (w[i], w[0]) in allowed)
+
+    for n in range(1, len(order) + 1):
+        row = extension_search(
+            range(n), lambda open_cells, _: (open_cells[0], order), Budget(sys.maxsize), "", fits
+        )
+        if row is not None:
+            return "".join(row[i] for i in range(n))
     return None
 
 

@@ -38,7 +38,7 @@ from .groups import (
     group_from_descriptor,
     parse_word,
 )
-from .shiftcore import Alphabet, Pattern, coding_from_pairs
+from .shiftcore import Alphabet, Budget, Pattern, coding_from_pairs
 
 
 class Verdict(Enum):
@@ -46,28 +46,6 @@ class Verdict(Enum):
 
     CERTIFIED_EMPTY = "CertifiedEmpty"
     UNKNOWN = "Unknown"
-
-
-class Budget:
-    """Mutable step counter; spend() refuses once the limit is reached."""
-
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int):
-        self.limit = max(0, int(limit))
-        self.used = 0
-
-    def spend(self, steps: int = 1) -> bool:
-        """Charge steps, or refuse and use up the budget if they do not fit.
-
-        Charging k steps at once leaves the same `used` as k charges of
-        one: either all fit, or the limit is reached and the call refuses.
-        """
-        if self.used + steps > self.limit:
-            self.used = self.limit
-            return False
-        self.used += steps
-        return True
 
 
 def _check_binary(word: str) -> None:

@@ -181,17 +181,19 @@ def from_translation_action(
 def _displacement(ball: CayleyBall, h: int, target) -> str:
     """The first generator s with h·s equal to the target cell or word.
 
-    A word the ball resolves is matched through the edges; only a target
-    outside the ball is keyed, against the key of h stepped by each
-    generator whose product leaves the ball too.
+    A word is followed along the edges, and keyed once only if it leaves
+    the ball: a target outside the ball is matched against the key of h
+    stepped by each generator whose product leaves the ball too.
     """
-    symbols = ball.oracle.gens.symbols
-    cell = target if isinstance(target, int) else ball.resolve(tuple(target))
+    oracle = ball.oracle
+    symbols = oracle.gens.symbols
+    cell = target if isinstance(target, int) else ball.follow(tuple(target))
+    if cell is None:
+        key = oracle.canonical_key(tuple(target))
+        cell = ball._keyed.get(key)
     if cell is not None:
         found = (s for s in symbols if ball.edges.get((h, s)) == cell)
     else:
-        oracle = ball.oracle
-        key = oracle.canonical_key(tuple(target))
         source = oracle.canonical_key(ball.elements[h])
         found = (
             s for s in symbols if (h, s) not in ball.edges and oracle.key_step(source, s) == key

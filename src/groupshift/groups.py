@@ -525,15 +525,20 @@ class CayleyBall:
         if word in self._resolve_memo:
             return self._resolve_memo[word]
         self.oracle.gens.check_word(word)
-        # Follow edges from the identity; key the word only if a prefix
-        # leaves the ball, since the rest of it may come back in.
+        # Key the word only if a prefix leaves the ball: the rest may come back.
+        found = self.follow(word)
+        if found is None:
+            found = self._keyed.get(self.oracle.canonical_key(word))
+        self._resolve_memo[word] = found
+        return found
+
+    def follow(self, word: Word) -> Optional[int]:
+        """The index reached along edges from the identity, or None if a prefix leaves."""
         found = 0
         for sym in word:
             found = self.edges.get((found, sym))
             if found is None:
-                found = self._keyed.get(self.oracle.canonical_key(word))
                 break
-        self._resolve_memo[word] = found
         return found
 
     def neighbors(self, idx: int):

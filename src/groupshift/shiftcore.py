@@ -1,10 +1,14 @@
-"""Patterns, nearest-neighbour planar SFTs, and patch search.
+"""Patterns, nearest-neighbour planar SFTs, and the one extension search.
 
 Two pattern flavours live here: patterns over a group ball (supports are
 canonical words, used by the effective-set machinery) and finite rectangular
 patches of the plane (spread over product balls by the grid machinery).
 The hole marker for
 partial patches is None, which is reserved and never a user symbol.
+
+`extension_search` is the one backtracking search: patch completion here,
+and the square-free colorings and periodic rows of `aperiodic`, each
+spending one `Budget` step per value tried.
 """
 
 from __future__ import annotations
@@ -22,6 +26,28 @@ from .errors import (
 from .groups import Word
 
 HOLE = None
+
+
+class Budget:
+    """Mutable step counter; spend() refuses once the limit is reached."""
+
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int):
+        self.limit = max(0, int(limit))
+        self.used = 0
+
+    def spend(self, steps: int = 1) -> bool:
+        """Charge steps, or refuse and use up the budget if they do not fit.
+
+        Charging k steps at once leaves the same `used` as k charges of
+        one: either all fit, or the limit is reached and the call refuses.
+        """
+        if self.used + steps > self.limit:
+            self.used = self.limit
+            return False
+        self.used += steps
+        return True
 
 
 class Alphabet(Value):
@@ -252,6 +278,36 @@ def _candidates(sft: NNSFT2D, cells: dict, x: int, y: int, patch: Patch2D) -> li
     return options
 
 
+def extension_search(cells, choose, budget: Budget, refusal: str, fits=None, fixed=()):
+    """The first full assignment of the cells that extends `fixed`, or None.
+
+    `choose(open, values)` gives the next open cell (open cells keep the
+    order of `cells`) and the values to try there, in order; `fits(cell,
+    values)`, if given, is checked once a value is set.  Each value tried
+    spends one budget step; a refused step raises ResourceLimit(refusal).
+    """
+    values = dict(fixed)
+    open_cells = [cell for cell in cells if cell not in values]
+
+    def extend() -> bool:
+        if not open_cells:
+            return True
+        cell, options = choose(open_cells, values)
+        at = open_cells.index(cell)
+        del open_cells[at]
+        for value in options:
+            if not budget.spend():
+                raise ResourceLimit(refusal)
+            values[cell] = value
+            if (fits is None or fits(cell, values)) and extend():
+                return True
+        values.pop(cell, None)
+        open_cells.insert(at, cell)
+        return False
+
+    return values if extend() else None
+
+
 def patch_extension_search(
     sft: NNSFT2D, partial: Patch2D, max_nodes: int = 200_000
 ) -> Optional[Patch2D]:
@@ -260,40 +316,17 @@ def patch_extension_search(
     Backtracking assigns the most constrained hole first (ties in (y, x)
     order) and tries symbols in alphabet order, so results are reproducible.
     """
-    for value in partial.cells.values():
-        if value is not HOLE and value not in sft.alphabet:
-            raise AlphabetMismatch(repr(value))
     cells = {pos: v for pos, v in partial.cells.items() if v is not HOLE}
-    probe = Patch2D(partial.x0, partial.y0, partial.width, partial.height, dict(cells))
-    if check_patch_nn(sft, probe):
+    if check_patch_nn(sft, partial):
         return None
-    holes = sorted(
-        (pos for pos in partial.positions() if pos not in cells),
-        key=lambda pos: (pos[1], pos[0]),
-    )
-    nodes = 0
 
-    def solve(remaining: list) -> bool:
-        nonlocal nodes
-        if not remaining:
-            return True
-        scored = [
-            (len(_candidates(sft, cells, x, y, partial)), (y, x), (x, y))
-            for (x, y) in remaining
-        ]
-        scored.sort()
-        _, _, pick = scored[0]
-        rest = [pos for pos in remaining if pos != pick]
-        for sym in _candidates(sft, cells, pick[0], pick[1], partial):
-            nodes += 1
-            if nodes > max_nodes:
-                raise ResourceLimit(f"extension search exceeded {max_nodes} nodes")
-            cells[pick] = sym
-            if solve(rest):
-                return True
-            del cells[pick]
-        return False
+    def choose(holes, values):
+        scored = [(_candidates(sft, values, x, y, partial), (x, y)) for x, y in holes]
+        options, pick = min(scored, key=lambda pair: len(pair[0]))
+        return pick, options
 
-    if not solve(holes):
+    refusal = f"extension search exceeded {max_nodes} nodes"
+    found = extension_search(partial.positions(), choose, Budget(max_nodes), refusal, fixed=cells)
+    if found is None:
         return None
-    return Patch2D(partial.x0, partial.y0, partial.width, partial.height, cells)
+    return Patch2D(partial.x0, partial.y0, partial.width, partial.height, found)

@@ -26,6 +26,7 @@ from groupshift.aperiodic import (
     square_free_search,
     square_free_verify,
     z_sft_periodic_point,
+    _square_through,
 )
 from groupshift.errors import ResourceLimit, SchemaError
 from groupshift.groups import (
@@ -399,6 +400,136 @@ def test_periodic_row_matches_brute_force():
                     expected = "".join(word)
                     break
         assert got == expected, (alphabet, sorted(pairs))
+
+
+# ---------------------------------------------------------------------------
+# the searches against the loops they ran before the shared extension search
+
+
+def reference_square_free_search(ball, k, max_len):
+    """The former loop of `square_free_search`: the coloring it found, or
+    None, and the number of assignments it tried."""
+    adj = [sorted(ball.neighbors(h)) for h in range(len(ball))]
+    n = len(ball)
+    colors = {}
+    steps = 0
+
+    def assign(i):
+        nonlocal steps
+        if i == n:
+            return True
+        for c in range(k):
+            steps += 1
+            colors[i] = c
+            if not _square_through(i, colors, adj, max_len) and assign(i + 1):
+                return True
+            del colors[i]
+        return False
+
+    return (colors if assign(0) else None), steps
+
+
+def reference_square_free_verify(cb, max_len):
+    """The former counter of `square_free_verify`: the offending paths and
+    the number of extensions walked."""
+    adj = [sorted(cb.ball.neighbors(h)) for h in range(len(cb.ball))]
+    violations = []
+    steps = 0
+
+    def walk(path, used):
+        nonlocal steps
+        length = len(path)
+        if length % 2 == 0 and path[0] < path[-1]:
+            half = length // 2
+            if all(cb.colors[path[i]] == cb.colors[path[half + i]] for i in range(half)):
+                violations.append(tuple(path))
+        if length == max_len:
+            return
+        for nxt in adj[path[-1]]:
+            if nxt in used:
+                continue
+            steps += 1
+            path.append(nxt)
+            used.add(nxt)
+            walk(path, used)
+            path.pop()
+            used.remove(nxt)
+
+    for start in range(len(cb.ball)):
+        walk([start], {start})
+    return violations, steps
+
+
+def reference_periodic_point(alphabet, allowed):
+    """The former `z_sft_periodic_point`: trim symbols without a successor
+    or predecessor, then try every word over the rest by length."""
+    allowed = set(allowed)
+    alive = set(alphabet)
+    changed = True
+    while changed:
+        changed = False
+        for sym in sorted(alive):
+            has_succ = any((sym, t) in allowed for t in alive)
+            has_pred = any((t, sym) in allowed for t in alive)
+            if not (has_succ and has_pred):
+                alive.remove(sym)
+                changed = True
+    order = sorted(alive)
+    for length in range(1, len(order) + 1):
+        for word in itertools.product(order, repeat=length):
+            if all((word[i], word[(i + 1) % length]) in allowed for i in range(length)):
+                return "".join(word)
+    return None
+
+
+@pytest.mark.parametrize("group", range(len(PROPERTY_GROUPS)), ids=["Z", "Z2", "F2", "Grigorchuk"])
+def test_coloring_search_matches_the_former_loop(group):
+    # The same coloring or failure, and the same smallest budget: the
+    # search succeeds with exactly the assignments the old loop tried and
+    # refuses the last one with one fewer.
+    for radius, k, max_len in itertools.product(range(5), (1, 2, 3), (2, 4, 6)):
+        ball = property_ball(group, radius)
+        colors, steps = reference_square_free_search(ball, k, max_len)
+        for budget in (None, steps):
+            found = square_free_search(ball, k, max_len, budget)
+            if colors is None:
+                assert isinstance(found, ColoringFailure), (radius, k, max_len)
+            else:
+                assert found.colors == colors, (radius, k, max_len)
+        text = f"^coloring search exceeded {steps - 1} assignments$"
+        with pytest.raises(ResourceLimit, match=text):
+            square_free_search(ball, k, max_len, steps - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, len(PROPERTY_GROUPS) - 1),
+    st.integers(0, 3),
+    st.integers(1, 3),
+    st.sampled_from([2, 4, 6]),
+    st.randoms(use_true_random=False),
+)
+def test_verify_matches_the_former_counter(group, radius, k, max_len, rng):
+    ball = property_ball(group, radius)
+    cb = ColoredBall(ball, {h: rng.randrange(k) for h in range(len(ball))}, k)
+    violations, steps = reference_square_free_verify(cb, max_len)
+    assert square_free_verify(cb, max_len) == violations
+    assert square_free_verify(cb, max_len, steps) == violations
+    if steps:
+        text = f"^path enumeration exceeded {steps - 1} extensions$"
+        with pytest.raises(ResourceLimit, match=text):
+            square_free_verify(cb, max_len, steps - 1)
+
+
+@pytest.mark.parametrize("alphabet", ["01", "abc", "cab"])
+def test_periodic_point_matches_the_former_trimming_search(alphabet):
+    # Every line SFT over the alphabet, with and without loops.
+    pairs = list(itertools.product(alphabet, repeat=2))
+    for mask in range(2 ** len(pairs)):
+        allowed = {pair for i, pair in enumerate(pairs) if mask >> i & 1}
+        assert z_sft_periodic_point(alphabet, allowed) == reference_periodic_point(
+            alphabet, allowed
+        ), sorted(allowed)
 
 
 def test_coloring_descriptor_round_trip():

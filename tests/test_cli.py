@@ -723,6 +723,17 @@ def test_check_commands_match_the_recorded_reports(tmp_path, capsys, monkeypatch
     assert_recorded_reports(capsys, cases)
 
 
+# Stdout, stderr and exit codes of the backtracking searches: `nn extend`
+# completing a three-colouring patch, finding none and running out of
+# `--max-nodes`; `aperiodic color` finding a colouring, a ColoringFailure
+# and running out of `--budget`; `aperiodic verify` running out of
+# `--budget`.  A search engine must give the same reports.
+def test_search_commands_match_the_recorded_reports(tmp_path, capsys, monkeypatch):
+    cases = recorded_cases("search", tmp_path, monkeypatch)
+    assert sorted(case["exit"] for case in cases) == [0, 0, 1, 1, 1, 1, 1]
+    assert_recorded_reports(capsys, cases)
+
+
 # ---------------------------------------------------------------------------
 # aperiodicity commands
 

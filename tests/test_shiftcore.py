@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from groupshift.errors import AlphabetMismatch
+from groupshift.errors import AlphabetMismatch, ResourceLimit
 from groupshift.shiftcore import (
     Alphabet,
     NNSFT2D,
@@ -18,6 +18,7 @@ from groupshift.shiftcore import (
     patch_from_descriptor,
     patch_to_descriptor,
     sft_from_descriptor,
+    _candidates,
 )
 
 
@@ -133,6 +134,80 @@ def test_extension_search_agrees_with_exhaustive_enumeration():
         if found is not None:
             assert check_patch_nn(sft, found) == []
             assert all(found.get(x, y) is not None for (x, y) in found.positions())
+
+
+def reference_extension_search(sft, partial):
+    """The former loop of `patch_extension_search`: the completed cells, or
+    None, and the number of nodes it tried."""
+    cells = {pos: v for pos, v in partial.cells.items() if v is not None}
+    if check_patch_nn(sft, partial):
+        return None, 0
+    holes = sorted(
+        (pos for pos in partial.positions() if pos not in cells),
+        key=lambda pos: (pos[1], pos[0]),
+    )
+    nodes = 0
+
+    def solve(remaining):
+        nonlocal nodes
+        if not remaining:
+            return True
+        scored = sorted(
+            (len(_candidates(sft, cells, x, y, partial)), (y, x), (x, y)) for (x, y) in remaining
+        )
+        _, _, pick = scored[0]
+        rest = [pos for pos in remaining if pos != pick]
+        for sym in _candidates(sft, cells, pick[0], pick[1], partial):
+            nodes += 1
+            cells[pick] = sym
+            if solve(rest):
+                return True
+            del cells[pick]
+        return False
+
+    return (cells if solve(holes) else None), nodes
+
+
+def random_partial(rng, symbols):
+    """A random SFT over the symbols and a patch of it with holes, placed
+    anywhere in the plane; some holes are explicit None cells."""
+    pairs = list(itertools.product(symbols, repeat=2))
+    density = rng.choice([0.4, 0.6, 0.8])
+    allowed_h = frozenset(p for p in pairs if rng.random() < density)
+    allowed_v = frozenset(p for p in pairs if rng.random() < density)
+    sft = NNSFT2D(Alphabet(symbols), allowed_h, allowed_v)
+    x0, y0 = rng.randint(-3, 3), rng.randint(-3, 3)
+    w, h = rng.randint(1, 6), rng.randint(1, 6)
+    cells = {}
+    for x in range(x0, x0 + w):
+        for y in range(y0, y0 + h):
+            roll = rng.random()
+            if roll < 0.15:
+                cells[(x, y)] = rng.choice(symbols)
+            elif roll < 0.25:
+                cells[(x, y)] = None
+    return sft, Patch2D(x0, y0, w, h, cells)
+
+
+@pytest.mark.parametrize("symbols", [("0", "1"), ("0", "1", "2")])
+def test_extension_search_matches_the_former_loop(symbols):
+    # The same completion or None, and the same smallest max_nodes: the
+    # search succeeds with exactly the nodes the old loop tried and refuses
+    # the last one with one fewer.
+    rng = random.Random(36)
+    tried = 0
+    for _ in range(400):
+        sft, partial = random_partial(rng, symbols)
+        cells, nodes = reference_extension_search(sft, partial)
+        for max_nodes in (200_000, max(nodes, 1)):
+            found = patch_extension_search(sft, partial, max_nodes)
+            assert (None if found is None else found.cells) == cells
+        if nodes:
+            tried += 1
+            text = f"^extension search exceeded {nodes - 1} nodes$"
+            with pytest.raises(ResourceLimit, match=text):
+                patch_extension_search(sft, partial, nodes - 1)
+    assert tried > 200
 
 
 def test_patch_descriptor_round_trip():

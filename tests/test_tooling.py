@@ -67,6 +67,21 @@ def test_only_the_base_oracle_defines_canonical_key():
     assert owners == ["GroupOracle"]
 
 
+def test_one_budget_and_no_hand_rolled_step_counter():
+    # Searches and oracles spend one `Budget` class; a `nonlocal` counter
+    # in a nested loop would be a second budget idiom beside it.
+    effective = importlib.import_module("groupshift.effective")
+    shiftcore = importlib.import_module("groupshift.shiftcore")
+    assert effective.Budget is shiftcore.Budget
+    holders = [
+        path.name
+        for path in sorted((SRC / "groupshift").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Nonlocal)
+    ]
+    assert holders == []
+
+
 def loaded_modules(*imports):
     """The `sys.modules` names of a fresh interpreter after the imports."""
     code = "".join(f"import {name}\n" for name in imports) + "import sys\nprint(*sorted(sys.modules))\n"
