@@ -345,13 +345,27 @@ def z_sft_periodic_point(alphabet, allowed) -> str | None:
     The result is the smallest word under (length, lexicographic) order all
     of whose cyclic neighbour pairs are allowed, or None when there is none.
     A shortest such word visits no symbol twice, so it is searched for on
-    Z/n for n up to the alphabet size.
+    Z/n for n up to the alphabet size.  A symbol is refused at position i
+    when the word's first symbol lies more than n - i allowed steps ahead
+    of it, so a search without an answer stops early.
     """
     allowed = set(allowed)
     order = sorted(set(alphabet))
+    # ahead[a][b]: the fewest allowed steps, at least one, from a to b.
+    ahead = {}
+    for a in order:
+        dist = ahead[a] = {}
+        frontier, d = [a], 1
+        while frontier:
+            frontier = [
+                b for b in order if b not in dist and any((u, b) in allowed for u in frontier)
+            ]
+            dist.update(dict.fromkeys(frontier, d))
+            d += 1
 
     def fits(i, w):  # n is the length being searched
-        return (i == 0 or (w[i - 1], w[i]) in allowed) and (i < n - 1 or (w[i], w[0]) in allowed)
+        back = ahead[w[i]].get(w[0], n + 1)
+        return back <= n - i and (i == 0 or (w[i - 1], w[i]) in allowed)
 
     for n in range(1, len(order) + 1):
         row = extension_search(

@@ -14,6 +14,7 @@ orbit data that pass every check.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Optional
 
 from .effective import ActionOracle, SetOracle, SubshiftCodec
@@ -211,13 +212,6 @@ def _record(ctx: FactorContext, sym) -> str:
     return record
 
 
-def _layered(ctx, symbols) -> LayeredWord:
-    """Layered word of a run of vertical-shift symbols, one record each."""
-    records = [_record(ctx, sym) for sym in symbols]
-    columns = map("".join, zip(*records))
-    return LayeredWord(len(records), dict(zip(ctx.layers, columns)))
-
-
 def _identity_prefix(ctx, symbols):
     """The prefix decoded from the identity layer, the first of every
     record, of a power-of-three run of symbols; None when it does not
@@ -240,24 +234,35 @@ def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Vio
     offset; a window certified forbidden by the decoders or the oracles
     is reported as (g, "row", (chain, column, offset)).  Within one call
     the label checks and chains of a grid shared by several slices are
-    computed once, each distinct row and each distinct window is tested
-    once, and the oracles are asked once per distinct tuple of decoded
-    prefixes.  The counts of the returned list cover the label and
-    domino checks of every slice.
+    computed once, and each distinct row is read once: its records are
+    looked up and each layer of the whole row is joined into one string,
+    so a window's layers are slices of those strings.  Each distinct
+    window is tested once, each distinct layer string is decoded once,
+    and the oracles are asked once per distinct tuple of decoded
+    prefixes.  The counts of the returned list cover the label and domino
+    checks of every slice.
     """
     violations = Violations()
+    layers = ctx.layers
     local = {}
     chained = {}
     forbidden = {}
     decided = {}
     bad_offsets = {}
 
-    def window_forbidden(symbols) -> bool:
-        if symbols not in forbidden:
-            window = _layered(ctx, symbols)
-            verdict = top1d_forbidden(window, ctx.X, ctx.T, budget, decided)
-            forbidden[symbols] = verdict is WindowVerdict.FORBIDDEN
-        return forbidden[symbols]
+    def row_bad_offsets(row, length) -> list:
+        strings = [*map("".join, zip(*(_record(ctx, sym) for sym in row)))]
+        bad = []
+        for offset in range(len(row) - length + 1):
+            symbols = row[offset : offset + length]
+            if symbols not in forbidden:
+                end = offset + length
+                window = LayeredWord(length, {s: w[offset:end] for s, w in zip(layers, strings)})
+                verdict = top1d_forbidden(window, ctx.X, ctx.T, budget, decided)
+                forbidden[symbols] = verdict is WindowVerdict.FORBIDDEN
+            if forbidden[symbols]:
+                bad.append(offset)
+        return bad
 
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
@@ -290,11 +295,7 @@ def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Vio
             # Row h2 of the zipped chain rows is the chain's row in column h2.
             for h2, row in enumerate(zip(*(rows[h1] for h1 in chain))):
                 if row not in bad_offsets:
-                    bad_offsets[row] = [
-                        offset
-                        for offset in range(len(chain) - length + 1)
-                        if window_forbidden(row[offset : offset + length])
-                    ]
+                    bad_offsets[row] = row_bad_offsets(row, length)
                 violations.extend((g, "row", (ci, h2, offset)) for offset in bad_offsets[row])
     return violations
 
@@ -552,38 +553,54 @@ def hat_phi_project(patch: FinalPatch, ctx: FactorContext, codec: SubshiftCodec)
     Every cell re-bases the read: the window starts at that cell of its
     own slice.  Cells whose window leaves the grid, fails to decode, or
     decodes to bits outside the code table are marked Undetermined; with
-    kappa 0 every cell is.  Within one call each distinct row grid is
-    walked once, the windows of a row cell are read off the slice's
-    columns together, and each distinct symbol tuple is decoded once.
+    kappa 0 every cell is.  A cell's window lies in its column, so within
+    one call each distinct row grid is walked once, each distinct column
+    is projected once per row grid, and each distinct symbol tuple is
+    decoded once.  A symbol without a record raises for the first such
+    window in (g, h1, h2) order.
     """
     length = 3**ctx.kappa
-
-    def decode(symbols):
-        bits = _identity_prefix(ctx, symbols)
-        sym = None if bits is None else codec.decode_block(bits)
-        return UNDETERMINED if sym is None else sym
-
     projection = {}
     decoded = {}
-    lines = {}
+    grids = {}
+    failed = []
     n1, n2 = patch.n1, patch.n2
+
+    def project(symbols):
+        sym = decoded.get(symbols)
+        if sym is None:
+            try:
+                bits = _identity_prefix(ctx, symbols)
+            except UnknownSymbol as exc:
+                failed.append(exc)
+                return exc
+            sym = None if bits is None else codec.decode_block(bits)
+            sym = decoded[symbols] = UNDETERMINED if sym is None else sym
+        return sym
+
     for g in range(len(patch.g_ball)):
-        slc = patch.omega[g]
-        if slc.patch1 not in lines:
-            lines[slc.patch1] = [
-                _row_cells(slc.patch1, h1, length) if ctx.kappa > 0 else None for h1 in range(n1)
-            ]
-        rows = patch.rows(g)
-        for h1, cells in enumerate(lines[slc.patch1]):
-            if cells is None:
-                projection.update(((g, h1, h2), UNDETERMINED) for h2 in range(n2))
-                continue
-            # Row h2 of the zipped rows is the window of cell (h1, h2).
-            for h2, symbols in enumerate(zip(*(rows[c] for c in cells))):
-                sym = decoded.get(symbols)
-                if sym is None:
-                    sym = decoded[symbols] = decode(symbols)
-                projection[(g, h1, h2)] = sym
+        patch1 = patch.omega[g].patch1
+        if patch1 not in grids:
+            windows = [_row_cells(patch1, h1, length) if ctx.kappa else None for h1 in range(n1)]
+            # The cells of a window as one getter; its length is at least 3.
+            readers = [None if cells is None else itemgetter(*cells) for cells in windows]
+            grids[patch1] = (readers, {})
+        readers, columns = grids[patch1]
+        records = patch.slices[g]
+        out = []
+        for h2 in range(n2):
+            column = records[h2::n2]
+            values = columns.get(column)
+            if values is None:
+                values = columns[column] = [
+                    UNDETERMINED if read is None else project(read(column)) for read in readers
+                ]
+            out.append(values)
+        # out[h2][h1], read row by row.
+        values = list(itertools.chain.from_iterable(zip(*out)))
+        if failed:
+            raise next(v for v in values if isinstance(v, UnknownSymbol))
+        projection.update(zip(itertools.product((g,), range(n1), range(n2)), values))
     return projection
 
 

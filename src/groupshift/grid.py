@@ -426,29 +426,48 @@ def grid_y_check(omega: ProductGridPatch, rows, sft: NNSFT2D) -> Violations:
     The configuration is given row by row: rows[h₁][h₂].  The horizontal
     neighbour of (h₁,h₂) is one right-step in the first factor, the
     vertical neighbour one right-step in the second; pairs are tested
-    against the allowed horizontal/vertical dominoes.
+    against the allowed horizontal/vertical dominoes.  Within one call the
+    vertical dominoes are tested once per distinct row and the horizontal
+    ones once per distinct pair of a row and the row it steps to; cells
+    are visited only where a domino fails, the horizontal one first.
     """
     violations = Violations()
+    right2 = omega.patch2.right
+    n2 = len(right2)
+    steps2 = [(h2, step2) for h2, step2 in enumerate(right2) if step2 is not None]
+    failed_v = {}
+    failed_h = {}
     satisfied = 0
     unchecked = 0
-    right2 = omega.patch2.right
     for h1, step1 in enumerate(omega.patch1.right):
         row = rows[h1]
-        over = None if step1 is None else rows[step1]
-        for h2, step2 in enumerate(right2):
-            a = row[h2]
-            if over is None:
-                unchecked += 1
-            elif (a, over[h2]) in sft.allowed_h:
-                satisfied += 1
-            else:
-                violations.append(((h1, h2), "h", a, over[h2]))
-            if step2 is None:
-                unchecked += 1
-            elif (a, row[step2]) in sft.allowed_v:
-                satisfied += 1
-            else:
-                violations.append(((h1, h2), "v", a, row[step2]))
+        key = tuple(row)
+        bad_v = failed_v.get(key)
+        if bad_v is None:
+            bad_v = failed_v[key] = {
+                h2 for h2, step2 in steps2 if (row[h2], row[step2]) not in sft.allowed_v
+            }
+        unchecked += n2 - len(steps2)
+        satisfied += len(steps2) - len(bad_v)
+        if step1 is None:
+            over, bad_h = None, set()
+            unchecked += n2
+        else:
+            over = rows[step1]
+            pair = (key, tuple(over))
+            bad_h = failed_h.get(pair)
+            if bad_h is None:
+                bad_h = failed_h[pair] = {
+                    h2 for h2 in range(n2) if (row[h2], over[h2]) not in sft.allowed_h
+                }
+            satisfied += n2 - len(bad_h)
+        if bad_h or bad_v:
+            for h2 in sorted(bad_h | bad_v):
+                a = row[h2]
+                if h2 in bad_h:
+                    violations.append(((h1, h2), "h", a, over[h2]))
+                if h2 in bad_v:
+                    violations.append(((h1, h2), "v", a, row[right2[h2]]))
     violations.satisfied = satisfied
     violations.unchecked = unchecked
     return violations

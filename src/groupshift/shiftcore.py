@@ -101,8 +101,9 @@ class NNSFT2D(Value):
         self.alphabet = alphabet
         self.allowed_h = allowed_h
         self.allowed_v = allowed_v
+        symbols = set(self.alphabet.symbols)
         for a, b in itertools.chain(self.allowed_h, self.allowed_v):
-            if a not in self.alphabet or b not in self.alphabet:
+            if a not in symbols or b not in symbols:
                 raise ValueError("allowed pair uses a symbol outside the alphabet")
 
 

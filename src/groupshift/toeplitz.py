@@ -17,9 +17,12 @@ from .effective import ActionOracle, SetOracle, Verdict, _check_binary
 
 FILLER = "␣"
 TSYMS = ("0", "1", FILLER)
+_TSYM_SET = frozenset(TSYMS)
 
 
 def _check_tword(word: str) -> None:
+    if _TSYM_SET.issuperset(word):
+        return
     for ch in word:
         if ch not in TSYMS:
             raise UnknownSymbol(f"expected 0, 1 or {FILLER!r}, found {ch!r}")
@@ -191,13 +194,20 @@ def action_layers(oracle: ActionOracle) -> tuple:
     return tuple(dict.fromkeys((oracle.identity, *oracle.generators)))
 
 
-def _decoded_layers(w: LayeredWord, T: ActionOracle):
+def _decoded_layers(w: LayeredWord, T: ActionOracle, decided=None):
     """The decoded prefix of every layer, in `action_layers` order, or
     None as soon as one layer does not decode.  `LayeredWord` has checked
-    the symbols, so only the length is checked here."""
+    the symbols, so only the length is checked here.  `decided`, when
+    given, keeps the decoded prefix (or None) of each layer string, so a
+    string is decoded once however many windows carry it."""
+    if decided is None:
+        decided = {}
     decoded = []
     for s in action_layers(T):
-        bits = _decode(w.layer(s))
+        word = w.layer(s)
+        if word not in decided:
+            decided[word] = _decode(word)
+        bits = decided[word]
         if bits is None:
             return None
         decoded.append(bits)
@@ -224,16 +234,18 @@ def top1d_forbidden(
     action generator plus the identity.  It is Forbidden when some layer
     fails to decode, or when the oracles certify — within the per-query
     budget — that some decoded prefix u(s) has empty cylinder in X, or
-    that [u(s)] misses the s-image of [u(identity)] ∩ X.  Past decoding
-    the verdict depends only on the decoded prefixes, so a caller that
-    tests many windows passes one dict as `decided`; it keeps the verdict
-    of each decoded tuple, and the oracles are asked once per tuple.
+    that [u(s)] misses the s-image of [u(identity)] ∩ X.  The verdict
+    depends only on the layer strings, so a caller that tests many windows
+    passes one dict as `decided`.  It keeps the decoded prefix (or None)
+    of each layer string and the verdict of each decoded tuple: each
+    distinct layer string is decoded once, and the oracles are asked once
+    per tuple.  A string key never meets a tuple key.
     """
-    decoded = _decoded_layers(w, T)
+    if decided is None:
+        decided = {}
+    decoded = _decoded_layers(w, T, decided)
     if decoded is None:
         return WindowVerdict.FORBIDDEN
-    if decided is None:
-        return _prefixes_forbidden(decoded, X, T, budget)
     verdict = decided.get(decoded)
     if verdict is None:
         verdict = decided[decoded] = _prefixes_forbidden(decoded, X, T, budget)

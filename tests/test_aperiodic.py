@@ -532,6 +532,30 @@ def test_periodic_point_matches_the_former_trimming_search(alphabet):
         ), sorted(allowed)
 
 
+def test_periodic_point_on_larger_alphabets_matches_the_former_search():
+    # Sparse relations over five and six symbols, where the search refuses
+    # symbols that cannot lead back to the row's first one in time.
+    rng = random.Random(37)
+    for _ in range(60):
+        alphabet = "abcdef"[: rng.randint(5, 6)]
+        density = rng.choice((0.1, 0.2, 0.3))
+        allowed = {pair for pair in itertools.product(alphabet, repeat=2) if rng.random() < density}
+        assert z_sft_periodic_point(alphabet, allowed) == reference_periodic_point(
+            alphabet, allowed
+        ), sorted(allowed)
+
+
+def test_periodic_point_of_an_acyclic_relation_is_none_at_once():
+    # Every path of {(a, b) : a < b} dies out, and there are exponentially
+    # many: a search that only learns this at the row's end takes about
+    # 0.4 s on 14 symbols.
+    symbols = [chr(ord("a") + i) for i in range(14)]
+    allowed = {(a, b) for a in symbols for b in symbols if a < b}
+    start = time.perf_counter()
+    assert z_sft_periodic_point(symbols, allowed) is None
+    assert time.perf_counter() - start < 0.05
+
+
 def test_coloring_descriptor_round_trip():
     cb = word_coloring(2)
     obj = colored_ball_to_descriptor(cb)

@@ -615,6 +615,42 @@ def test_each_distinct_window_is_tested_once(monkeypatch):
     assert calls == {"F1": len(set(windows)), "project": len(set(cells))}
 
 
+@pytest.mark.parametrize("name", ["golden", "z2-lines"])
+def test_row_memos_test_each_window_and_decode_each_layer_string_once(monkeypatch, name):
+    if name == "golden":
+        patch, ctx, codec = shared_witness(10, 2)
+    else:
+        patch, ctx, codec, _ = grid_witness(name)
+    windows = {symbols for _, _, symbols in f1_windows(patch)}
+    strings = {word for symbols in windows for word in layered(ctx, symbols).layers.values()}
+    cells = {symbols for _, symbols in projection_windows(patch, ctx) if symbols is not None}
+    calls = {"F1": [], "decode": [], "project": []}
+
+    def recorded(name, original, key):
+        def wrapper(*args):
+            calls[name].append(key(*args))
+            return original(*args)
+
+        return wrapper
+
+    def layers(window, *_):
+        return tuple(window.layers.values())
+
+    monkeypatch.setattr(assembly, "top1d_forbidden", recorded("F1", top1d_forbidden, layers))
+    monkeypatch.setattr(toeplitz, "_decode", recorded("decode", toeplitz._decode, str))
+    monkeypatch.setattr(
+        assembly,
+        "_identity_prefix",
+        recorded("project", assembly._identity_prefix, lambda _, symbols: symbols),
+    )
+    check_F1(patch, ctx)
+    assert sorted(calls["F1"]) == sorted(tuple(layered(ctx, w).layers.values()) for w in windows)
+    decoded = Counter(calls["decode"])
+    assert set(decoded) <= strings and max(decoded.values()) == 1
+    hat_phi_project(patch, ctx, codec)
+    assert sorted(calls["project"]) == sorted(cells)
+
+
 # Slice-by-slice references for the shared-grid paths: the witness seeds a
 # planar patch onto every slice, and F1, F3 and F4 redo each slice's grid
 # work with no memo at all.

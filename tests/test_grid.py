@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groupshift.grid as grid
 from groupshift.errors import BallTooSmall, CycleDetected, DisplacementNotGenerator, SchemaError
@@ -715,3 +718,64 @@ def test_grid_y_check_matches_the_cell_by_cell_reference():
                 assert (list(report), report.satisfied, report.unchecked) == (
                     reference_y_check(omega, y, sft)
                 )
+
+
+def former_y_check(omega, rows, sft):
+    """`grid_y_check` as it was before its memos: cell by cell, with the
+    horizontal domino of a cell tested before its vertical one."""
+    violations = []
+    satisfied = 0
+    unchecked = 0
+    right2 = omega.patch2.right
+    for h1, step1 in enumerate(omega.patch1.right):
+        row = rows[h1]
+        over = None if step1 is None else rows[step1]
+        for h2, step2 in enumerate(right2):
+            a = row[h2]
+            if over is None:
+                unchecked += 1
+            elif (a, over[h2]) in sft.allowed_h:
+                satisfied += 1
+            else:
+                violations.append(((h1, h2), "h", a, over[h2]))
+            if step2 is None:
+                unchecked += 1
+            elif (a, row[step2]) in sft.allowed_v:
+                satisfied += 1
+            else:
+                violations.append(((h1, h2), "v", a, row[step2]))
+    return violations, satisfied, unchecked
+
+
+@functools.cache
+def y_check_grid(name):
+    if name == "line":
+        return ProductGridPatch(line_patch(4), line_patch(2))
+    if name == "z2":
+        return ProductGridPatch(plane_patch(2), plane_patch(2, "y"))
+    ball = cayley_ball(GrigorchukOracle(), 4)
+    cover = path_cover_search(ball, 2)
+    return ProductGridPatch(from_translation_action(ball, cover.succ, cover.pred), line_patch(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_grid_y_check_matches_the_former_per_cell_loop(data):
+    omega = y_check_grid(data.draw(st.sampled_from(["line", "z2", "cover"])))
+    symbols = "abcd"[: data.draw(st.integers(2, 4))]
+    pairs = sorted(itertools.product(symbols, repeat=2))
+    sft = NNSFT2D(
+        Alphabet(tuple(symbols)),
+        frozenset(data.draw(st.sets(st.sampled_from(pairs)))),
+        frozenset(data.draw(st.sets(st.sampled_from(pairs)))),
+    )
+    n1, n2 = len(omega.patch1.ball), len(omega.patch2.ball)
+    # Rows drawn from a few distinct ones, so that equal rows meet unequal
+    # rows one step above them.
+    row = st.lists(st.sampled_from(symbols), min_size=n2, max_size=n2)
+    pool = data.draw(st.lists(row, min_size=1, max_size=4))
+    kind = data.draw(st.sampled_from([list, tuple]))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n1, max_size=n1))
+    rows = [kind(pool[i]) for i in picks]
+    report = grid_y_check(omega, rows, sft)
+    assert (list(report), report.satisfied, report.unchecked) == former_y_check(omega, rows, sft)

@@ -69,6 +69,19 @@ def test_check_patch_is_translation_invariant():
     assert len(check_patch_nn(sft, patch)) == len(check_patch_nn(sft, moved))
 
 
+@pytest.mark.parametrize(
+    "allowed_h, allowed_v",
+    [
+        ({("a", "a"), ("b", "c")}, set()),
+        ({("a", "b")}, {("a", "a"), ("c", "a")}),
+    ],
+)
+def test_sft_rejects_a_pair_outside_the_alphabet(allowed_h, allowed_v):
+    with pytest.raises(ValueError) as caught:
+        NNSFT2D(Alphabet(("a", "b")), frozenset(allowed_h), frozenset(allowed_v))
+    assert str(caught.value) == "allowed pair uses a symbol outside the alphabet"
+
+
 def test_check_patch_rejects_foreign_symbols():
     sft = golden_mean_sft()
     with pytest.raises(AlphabetMismatch):

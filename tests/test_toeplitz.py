@@ -13,6 +13,7 @@ from groupshift.effective import (
     EmptySetOracle,
     FullShiftSetOracle,
     TrivialActionOracle,
+    _check_binary,
     make_codec,
     rho_action_oracle,
     rho_set_oracle,
@@ -25,6 +26,7 @@ from groupshift.toeplitz import (
     TSYMS,
     LayeredWord,
     WindowVerdict,
+    _check_tword,
     cyclic_decompose,
     decode_procedure,
     psi_encode,
@@ -229,6 +231,26 @@ def test_layered_word_validation():
     assert word.layer("1") == "01" + FILLER
     with pytest.raises(UnknownSymbol):
         word.layer("y")
+
+
+@pytest.mark.parametrize(
+    "check, text",
+    [
+        (lambda: _check_binary("01a1b"), "expected a binary word, found 'a'"),
+        (lambda: _check_binary(["0", "2", "x"]), "expected a binary word, found '2'"),
+        (lambda: _check_tword(f"0{FILLER}a1b"), f"expected 0, 1 or {FILLER!r}, found 'a'"),
+        (
+            lambda: LayeredWord(3, {"1": f"01{FILLER}", "x": "0ba", "y": "c01"}),
+            f"expected 0, 1 or {FILLER!r}, found 'b'",
+        ),
+    ],
+)
+def test_symbol_checks_name_the_first_offender(check, text):
+    # The checks test a whole word at once and scan it only to name the
+    # first symbol outside the alphabet.
+    with pytest.raises(UnknownSymbol) as caught:
+        check()
+    assert str(caught.value) == text
 
 
 def test_psi_tilde_builds_one_layer_per_prefix():

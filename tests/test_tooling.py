@@ -82,6 +82,38 @@ def test_one_budget_and_no_hand_rolled_step_counter():
     assert holders == []
 
 
+def test_no_memo_outlives_a_call():
+    # The checkers memoise within one call and keep nothing after it: a
+    # process-wide cache, or a container bound at module level, would carry
+    # results from one call, or one input, to the next.  `cli._MINIMUM` is
+    # a constant table of option bounds.
+    caches, containers = [], []
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    for path in sorted((SRC / "groupshift").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "functools" else []
+            else:
+                continue
+            caches += [f"{path.stem}.{name}" for name in names if name in ("cache", "lru_cache")]
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            value = node.value
+            call = isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            if isinstance(value, displays) or (call and value.func.id in ("dict", "list", "set")):
+                containers += [f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)]
+    assert caches == []
+    assert containers == ["cli._MINIMUM"]
+
+
 def loaded_modules(*imports):
     """The `sys.modules` names of a fresh interpreter after the imports."""
     code = "".join(f"import {name}\n" for name in imports) + "import sys\nprint(*sorted(sys.modules))\n"
