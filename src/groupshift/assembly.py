@@ -31,7 +31,6 @@ from .grid import (
     GridPatch,
     ProductGridPatch,
     _chains,
-    _seed_coordinates,
     _walk_line,
     check_grid_local,
     grid_patch_from_descriptor,
@@ -487,12 +486,12 @@ def witness_construct(
     caller must provide prefixes (all of one length) for every element of
     the radius+1 ball, keyed by canonical word.  A caller that has built
     that ball passes it as `shell`.  All slices share omega_bar, whose
-    grid coordinates are computed once (`_seed_coordinates`): the cell
-    pair at coordinate x of every slice gets the record spread at x.  A
-    chain has at most as many cells as its ball, so |x| is below the
-    first ball's size, which bounds the spread positions, and every cell
-    pair gets a record.  Raises CycleDetected when a grid's labels close
-    a cycle.
+    first grid coordinates are computed once from its label chains, as
+    `_seed_coordinates` computes them: the cell pair at first coordinate
+    x of every slice gets the record spread at x.  A chain has at most as
+    many cells as its ball, so |x| is below the first ball's size, which
+    bounds the spread positions, and every cell pair gets a record.
+    Raises CycleDetected when a grid's labels close a cycle.
     """
     if shell is None:
         shell = cayley_ball(g_ball.oracle, g_ball.radius + 1)
@@ -537,12 +536,18 @@ def witness_construct(
         if order is None:
             # Walked once the first slice's records are known, so a bad
             # record is still reported before a label cycle.  Cell
-            # (h1, h2) reads the column at x, entry x + span1.
+            # (h1, h2) reads the column at x, entry x + span1, where x is
+            # h1's place on its chain counted from the chain's least cell
+            # (the identity's chain holds cell 0, its least).  The second
+            # factor's chains are walked only to find a label cycle.
+            chains1, where1 = _chains(omega_bar.patch1)
+            _chains(omega_bar.patch2)
+            anchors = [where1[min(chain)][1] for chain in chains1]
             n2 = len(omega_bar.patch2.ball)
-            order = [None] * (span1 * n2)
-            for cells in _seed_coordinates(omega_bar).values():
-                for (h1, h2), (x, _) in cells.items():
-                    order[h1 * n2 + h2] = x + span1
+            order = []
+            for h1 in range(span1):
+                chain_id, place = where1[h1]
+                order += [place - anchors[chain_id] + span1] * n2
         slices.append(tuple(map(column.__getitem__, order)))
     return FinalPatch._of_slices(g_ball, dict.fromkeys(range(len(g_ball)), omega_bar), slices)
 

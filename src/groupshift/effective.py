@@ -13,13 +13,17 @@ The coded oracles look words up in the ball only to build address
 tables, lazily and once per oracle: the set oracle resolves every
 placement of each forbidden coding on its first coding scan, and the
 action oracle resolves the pairing by a generator on the first query
-with that generator.  Queries then read integer addresses.  Each test
-pass charges its steps to the budget at once, counted by the step model
-above, so verdicts and budget use are those of step-by-step charging.
+with that generator.  A query then reads only the table rows its words
+can complete: the rows inside a word's prefix, and for an action query
+the rows through an address carried from w, so its work is proportional
+to its words plus those rows, not to the ball.  Each test pass charges
+its steps to the budget at once, counted by the step model above, so
+verdicts and budget use are those of step-by-step charging.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 
 from .errors import (
@@ -157,7 +161,7 @@ class SubshiftCodec(Record):
 
     def decode_blocks(self, word: str) -> list:
         """Symbol of each complete block of a word, None where it codes nothing."""
-        return list(map(self.decoding.get, self.blocks(word)))
+        return list(map(self.decoding.get, map("".join, zip(*[iter(word)] * self.kappa))))
 
 
 def make_codec(
@@ -214,19 +218,6 @@ def rho_encode(codec: SubshiftCodec, pattern: Pattern, last_address=None) -> str
     return "".join(out)
 
 
-def _first_occurrence(table: list, values: list):
-    """Position (from 1) of the first table row whose addresses all carry
-    the row's symbols in `values`, or None."""
-    for k, row in enumerate(table, 1):
-        if row is not None:
-            for n, sym in row:
-                if values[n] != sym:
-                    break
-            else:
-                return k
-    return None
-
-
 class RhoSetOracle(SetOracle):
     """Emptiness tester for binary codings of a finitely-forbidden subshift.
 
@@ -238,15 +229,20 @@ class RhoSetOracle(SetOracle):
     The first coding scan builds one occurrence table per forbidden coding:
     row b, for the b-th ball element `base`, holds the pairs (address of
     base·h, symbol) of the coding, or None when some base·h leaves the
-    ball.  The tables depend only on the codec and the codings, so later
-    queries resolve no words.  A pass charges what the step model charges:
-    one step per block decode, one per row up to the first row that occurs.
+    ball.  With each table go the rows that stay in the ball, ordered by
+    their reach (largest address), so a word of L blocks reads only the
+    rows of reach below L: no other row has a value at every address.  A
+    query's work is thus proportional to its word, and later queries
+    resolve no words.  A pass charges what the step model charges: one
+    step per block decode, one per table row (in ball order) up to the
+    first row that occurs.
     """
 
     def __init__(self, codec: SubshiftCodec, forbidden):
         self.codec = codec
         self.forbidden = tuple(tuple(coding) for coding in forbidden)
         self._occurrences = None
+        self._through = None
 
     def _query(self, word, budget):
         verdict = self._reject_word(self.codec.decode_blocks(word), budget)
@@ -262,28 +258,65 @@ class RhoSetOracle(SetOracle):
             return Verdict.CERTIFIED_EMPTY if budget.spend(undecodable) else None
         if not budget.spend(len(symbols)):
             return None
-        size = len(self.codec.ball)
-        return self._scan_codings(symbols[:size] + [None] * (size - len(symbols)), budget)
+        # Rows of reach below the word's length read only its blocks.
+        length = min(len(symbols), len(self.codec.ball))
+        return self._scan_codings(
+            symbols,
+            budget,
+            (order[: bisect_left(reaches, length)] for _, reaches, order in self._occurrence_tables()),
+        )
 
     def _occurrence_tables(self) -> list:
+        """Per coding, (rows, reaches, order): the rows in ball order, and
+        the reaches of the rows that stay in the ball with their indices,
+        both sorted by reach."""
         if self._occurrences is None:
             ball = self.codec.ball
             tables = []
             for coding in self.forbidden:
-                table = []
+                rows = []
                 for base in ball.elements:
                     row = tuple((ball.resolve(base + tuple(h)), sym) for h, sym in coding)
-                    table.append(None if any(n is None for n, _ in row) else row)
-                tables.append(table)
+                    rows.append(None if any(n is None for n, _ in row) else row)
+                # A row of an empty coding reads nothing and has reach -1.
+                live = sorted(
+                    (max((n for n, _ in row), default=-1), k)
+                    for k, row in enumerate(rows)
+                    if row is not None
+                )
+                tables.append((rows, [reach for reach, _ in live], [k for _, k in live]))
             self._occurrences = tables
         return self._occurrences
 
-    def _scan_codings(self, values: list, budget):
-        """Scan the codings over `values`, the symbol at each ball address
-        (None for no value)."""
-        for table in self._occurrence_tables():
-            found = _first_occurrence(table, values)
-            if not budget.spend(found or len(table)):
+    def _through_tables(self) -> list:
+        """Per coding: for each address, the rows that read it."""
+        if self._through is None:
+            self._through = []
+            for rows, _, _ in self._occurrence_tables():
+                through = [[] for _ in rows]
+                for k, row in enumerate(rows):
+                    for n, _ in row or ():
+                        through[n].append(k)
+                self._through.append(through)
+        return self._through
+
+    def _scan_codings(self, values: list, budget, candidates):
+        """Scan the codings over `values`, the symbol at each address the
+        candidate rows read (None for no value).
+
+        `candidates` gives, per coding in order, the rows that can occur;
+        the caller vouches that no other row does.
+        """
+        for (rows, _, _), maybe in zip(self._occurrence_tables(), candidates):
+            found = None
+            for k in sorted(maybe):
+                for n, sym in rows[k]:
+                    if values[n] != sym:
+                        break
+                else:
+                    found = k + 1
+                    break
+            if not budget.spend(found or len(rows)):
                 return None
             if found:
                 return Verdict.CERTIFIED_EMPTY
@@ -297,12 +330,17 @@ class RhoActionOracle(ActionOracle):
     action are cross-checked: whenever address n names s times the element
     at address m, block n of v must equal block m of w.  The w-blocks are
     then carried over to their paired v-addresses and the merged partial
-    pattern is scanned against the forbidden codings.
+    pattern is scanned against the forbidden codings.  The scan of v
+    already found no row inside v's prefix, so the merged scan reads only
+    the rows through a carried address; the address → rows index it uses
+    is built on the first merged scan.  A query's work is thus
+    proportional to its words plus those rows.
 
     The first query with a given s builds its pairing table, the address
     of s times each ball element (None outside the ball), and keeps it.
     The pair pass charges one step per w-block looked up and one per block
-    comparison, up to the comparison that certifies.
+    comparison, up to the comparison that certifies; every pass charges
+    what the step-by-step model charges.
     """
 
     def __init__(self, codec: SubshiftCodec, forbidden):
@@ -330,6 +368,7 @@ class RhoActionOracle(ActionOracle):
         # comparing symbols compares blocks.
         size = len(codec.ball)
         merged = symbols_v[:size] + [None] * (size - len(symbols_v))
+        carried = []
         pairing = self._pairing(s)
         steps = 0
         for m in range(min(len(symbols_w), size)):
@@ -343,9 +382,14 @@ class RhoActionOracle(ActionOracle):
                     return Verdict.CERTIFIED_EMPTY if budget.spend(steps) else Verdict.UNKNOWN
             else:
                 merged[n] = symbols_w[m]
+                carried.append(n)
         if not budget.spend(steps):
             return Verdict.UNKNOWN
-        verdict = self.set_oracle._scan_codings(merged, budget)
+        verdict = self.set_oracle._scan_codings(
+            merged,
+            budget,
+            ({k for n in carried for k in through[n]} for through in self.set_oracle._through_tables()),
+        )
         return verdict if verdict is not None else Verdict.UNKNOWN
 
 

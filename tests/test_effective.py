@@ -352,9 +352,18 @@ SMALL_BALLS = {
 }
 
 
+# Balls much larger than the words queried on them, so that a scan reads
+# few of the rows, and a ball of the identity alone.
+WIDE_BALLS = {
+    "Z r=20": (FreeAbelianOracle(1), 20),
+    "Grigorchuk r=5": (GrigorchukOracle(), 5),
+    "F2 r=0": (FreeGroupOracle(2), 0),
+}
+
+
 @functools.cache
 def small_codec(name, size):
-    oracle, radius = SMALL_BALLS[name]
+    oracle, radius = SMALL_BALLS[name] if name in SMALL_BALLS else WIDE_BALLS[name]
     return make_codec(oracle, Alphabet(tuple("abcde"[:size])), radius)
 
 
@@ -381,12 +390,19 @@ def draw_forbidden(data, codec):
     return tuple(coding_from_pairs(pairs) for pairs in data.draw(codings))
 
 
-def draw_action_words(data, codec):
-    """(s, v, w): v mostly carries w moved by s, with some blocks redrawn."""
+def draw_action_words(data, codec, counts=None):
+    """(s, v, w): v mostly carries w moved by s, with some blocks redrawn.
+
+    `counts` draws the block counts of w and v (by default each up to
+    three past the ball).
+    """
     s = data.draw(st.sampled_from(codec.group.gens.symbols))
     size = len(codec.ball)
-    blocks_w = draw_blocks(data, codec, data.draw(st.integers(0, size + 3)))
-    blocks_v = draw_blocks(data, codec, data.draw(st.integers(0, size + 3)))
+    if counts is None:
+        counts = st.tuples(st.integers(0, size + 3), st.integers(0, size + 3))
+    count_w, count_v = data.draw(counts)
+    blocks_w = draw_blocks(data, codec, count_w)
+    blocks_v = draw_blocks(data, codec, count_v)
     if data.draw(st.booleans()):
         for m in range(min(len(blocks_w), size)):
             n = codec.ball.resolve((s,) + codec.enumeration(m))
@@ -432,6 +448,104 @@ def test_oracles_match_the_step_by_step_model(data):
                 lambda budget: action_oracle._query(s, v, w, budget),
                 lambda budget: reference_action_query(codec, forbidden, s, v, w, budget),
             )
+
+
+# Block counts (of w, then of v) up to 12 with v shorter than w, so that
+# the pair pass carries some w-blocks to addresses beyond v.
+SHORTER_V = st.integers(0, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, max(n - 1, 0))))
+
+
+def draw_sparse_forbidden(data, codec):
+    """One or two codings of up to three pairs, their words short enough
+    that a word of a few blocks can hold a placement; half the time no
+    pair sits at the identity, so a row's reach need not grow with its
+    base.  A coding of no pairs occurs in every word, the empty one too."""
+    gens = codec.group.gens.symbols
+    word = st.lists(st.sampled_from(gens), max_size=3).map(tuple)
+    if data.draw(st.booleans()):
+        word = word.filter(lambda h: codec.ball.resolve(h) != 0)
+    pair = st.tuples(word, st.sampled_from(codec.alphabet.symbols))
+    pairs = st.lists(pair, max_size=data.draw(st.integers(1, 3)))
+    return tuple(coding_from_pairs(p) for p in data.draw(st.lists(pairs, min_size=1, max_size=2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_oracles_match_the_step_by_step_model_on_short_words(data):
+    # A word of L blocks lets the scans read only the rows of reach below
+    # L, and the merged scan only the rows through an address carried
+    # from w; v is shorter than w, so the pair pass carries some.
+    codec = small_codec(data.draw(st.sampled_from(sorted(WIDE_BALLS))), data.draw(st.sampled_from((2, 3))))
+    forbidden = draw_sparse_forbidden(data, codec)
+    set_oracle, action_oracle = RhoSetOracle(codec, forbidden), RhoActionOracle(codec, forbidden)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            word = draw_word(data, codec, draw_blocks(data, codec, data.draw(st.integers(0, 12))))
+            assert_same_answer(
+                data,
+                lambda budget: set_oracle._query(word, budget),
+                lambda budget: reference_set_query(codec, forbidden, word, budget),
+            )
+        else:
+            s, v, w = draw_action_words(data, codec, SHORTER_V)
+            assert_same_answer(
+                data,
+                lambda budget: action_oracle._query(s, v, w, budget),
+                lambda budget: reference_action_query(codec, forbidden, s, v, w, budget),
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_merged_scan_matches_the_step_by_step_model(data):
+    # Random codings seldom occur in the merged pattern alone, so one is
+    # planted there, at the identity.  v carries w moved by s and is one to
+    # three blocks shorter, so some w-blocks are carried beyond v and some
+    # v-blocks pair with no w-block.  The planted coding reads a carried
+    # block and such a v-block, if there is one (else the scan of w finds
+    # it moved by s⁻¹), and maybe one more of either; five symbols make
+    # chance placements in v or w rarer.
+    codec = small_codec(data.draw(st.sampled_from(("Grigorchuk r=5", "Z r=20"))), data.draw(st.sampled_from((3, 5))))
+    gens = codec.group.gens
+    s = data.draw(st.sampled_from([g for g in gens.symbols if g != gens.identity]))
+    count_v = data.draw(st.integers(0, 11))
+    blocks_w = draw_blocks(data, codec, data.draw(st.integers(count_v + 1, min(count_v + 3, 12))))
+    blocks_v = draw_blocks(data, codec, count_v)
+    paired = [codec.ball.resolve((s,) + codec.enumeration(m)) for m in range(len(blocks_w))]
+    carried = []
+    for m, n in enumerate(paired):
+        if n is None:
+            continue
+        if n < count_v:
+            blocks_v[n] = blocks_w[m]
+        else:
+            carried.append((n, codec.decode_block(blocks_w[m])))
+    unpaired = [(n, codec.decode_block(blocks_v[n])) for n in range(count_v) if n not in paired]
+    forbidden = ()
+    if carried:
+        pairs = [data.draw(st.sampled_from(carried))]
+        if unpaired:
+            pairs.append(data.draw(st.sampled_from(unpaired)))
+        pairs += data.draw(st.lists(st.sampled_from(carried + unpaired), max_size=1))
+        forbidden = (coding_from_pairs((codec.enumeration(n), sym) for n, sym in pairs),)
+    v, w = "".join(blocks_v), "".join(blocks_w)
+    action_oracle = RhoActionOracle(codec, forbidden)
+    assert_same_answer(
+        data,
+        lambda budget: action_oracle._query(s, v, w, budget),
+        lambda budget: reference_action_query(codec, forbidden, s, v, w, budget),
+    )
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5])
+def test_decode_blocks_decodes_each_complete_block(size):
+    # kappa 1, 1, 2 and 3; every width but that of two symbols has codes
+    # that name no symbol.
+    codec = small_codec("Z", size)
+    for length in range(3 * codec.kappa + 2):
+        for bits in itertools.product("01", repeat=length):
+            word = "".join(bits)
+            assert codec.decode_blocks(word) == [codec.decode_block(b) for b in codec.blocks(word)]
 
 
 def test_charging_steps_at_once_equals_charging_them_one_by_one():
