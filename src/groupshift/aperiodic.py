@@ -383,11 +383,11 @@ def colored_ball_to_descriptor(cb: ColoredBall) -> dict:
 def colored_ball_from_descriptor(obj, path: str = "coloring") -> ColoredBall:
     ball = ball_from_descriptor(obj, path, "k", "colors")
     k = obj["k"]
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise SchemaError(f"{path}.k", "expected a positive integer")
     colors = {}
     for idx, value, where in cells_from_words(ball, obj["colors"], f"{path}.colors"):
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise SchemaError(where, "expected an integer")
         colors[idx] = value
     return ColoredBall(ball, colors, k)

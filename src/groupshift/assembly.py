@@ -14,7 +14,6 @@ orbit data that pass every check.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 from typing import Optional
 
 from .effective import ActionOracle, SetOracle, SubshiftCodec
@@ -28,10 +27,10 @@ from .errors import (
     UnknownSymbol,
 )
 from .grid import (
-    GridPatch,
     ProductGridPatch,
     _chains,
-    _walk_line,
+    _coordinates,
+    _row_reader,
     check_grid_local,
     grid_patch_from_descriptor,
     grid_patch_to_descriptor,
@@ -178,10 +177,6 @@ class FinalPatch:
         slc = self.omega[key[0]]
         return (self.g_ball, slc.patch1.ball, slc.patch2.ball)
 
-    def omega_at(self, g: int, h1: int, h2: int) -> tuple:
-        slc = self.omega[g]
-        return (slc.patch1.labels[h1], slc.patch2.labels[h2])
-
 
 def _slice_shape(g_ball: CayleyBall, omega: dict) -> tuple:
     """(n1, n2) of the grid slices, which must cover the base ball and share
@@ -216,13 +211,6 @@ def _identity_prefix(ctx, symbols):
     record, of a power-of-three run of symbols; None when it does not
     decode."""
     return decode_procedure("".join(_record(ctx, sym)[0] for sym in symbols))
-
-
-def _row_cells(patch: GridPatch, h: int, length: int):
-    """The cells of the row window of a length rightwards from h, or None
-    when the walk leaves the ball."""
-    line = _walk_line(patch, h, 0, length)
-    return None if line is None else tuple(line[x] for x in range(length))
 
 
 def check_F1(patch: FinalPatch, ctx: FactorContext, budget: int = 10_000) -> Violations:
@@ -313,10 +301,11 @@ def check_F2(patch: FinalPatch) -> list:
             a, b = patch.omega[g], patch.omega[t]
             if a is b:
                 continue
-            for h1 in range(len(a.patch1.ball)):
-                for h2 in range(len(a.patch2.ball)):
-                    if patch.omega_at(g, h1, h2) != patch.omega_at(t, h1, h2):
-                        violations.append(((g, h1, h2), s))
+            rows = [a.patch1.labels[h] != b.patch1.labels[h] for h in range(patch.n1)]
+            columns = [a.patch2.labels[h] != b.patch2.labels[h] for h in range(patch.n2)]
+            for h1, h2 in itertools.product(range(patch.n1), range(patch.n2)):
+                if rows[h1] or columns[h2]:
+                    violations.append(((g, h1, h2), s))
     return violations
 
 
@@ -368,9 +357,9 @@ def check_F4(patch: FinalPatch, ctx: FactorContext) -> list:
 
     For each slice and each depth m below kappa, the window decoded from
     the identity base is compared — in symbol m — with the windows
-    decoded from every generator-neighbour base.  The rows are walked
-    once per distinct grid and each distinct window is decoded once,
-    within the call.
+    decoded from every generator-neighbour base.  The readers are built
+    once per distinct grid (`_base_reads`) and each distinct window is
+    decoded once, within the call.
     """
     if ctx.kappa <= 0:
         return []
@@ -379,19 +368,6 @@ def check_F4(patch: FinalPatch, ctx: FactorContext) -> list:
     reads = {}
     decoded = {}
     n2 = patch.n2
-
-    def decode(g, m, read):
-        cells, h2 = read
-        if cells is None:
-            return None, "unreadable"
-        # The window's length, 3^(m+1), fixes the depth.
-        records = patch.slices[g]
-        symbols = tuple(records[h1 * n2 + h2] for h1 in cells)
-        if symbols not in decoded:
-            bits = _identity_prefix(ctx, symbols)
-            decoded[symbols] = (None, "undecodable") if bits is None else (bits, None)
-        return decoded[symbols]
-
     for g in range(len(patch.g_ball)):
         slc = patch.omega[g]
         if slc.patch1.ball.radius < need:
@@ -400,49 +376,48 @@ def check_F4(patch: FinalPatch, ctx: FactorContext) -> list:
             )
         if slc not in reads:
             reads[slc] = _base_reads(slc, ctx.kappa)
-        home, by_depth = reads[slc]
-        for m, rows in enumerate(by_depth):
-            reference, problem = decode(g, m, rows[home])
-            if problem is not None:
-                violations.append((g, m, home, problem))
-                continue
-            for pair, read in rows.items():
-                if pair == home:
-                    continue
-                value, problem = decode(g, m, read)
-                if problem is not None:
-                    violations.append((g, m, pair, problem))
-                elif value[m] != reference[m]:
+        records = patch.slices[g]
+        for m, depth_reads in enumerate(reads[slc]):
+            reference = None
+            for pair, read, h2 in depth_reads:
+                bits = None
+                if read is not None:
+                    symbols = read(records[h2::n2])
+                    if symbols not in decoded:
+                        decoded[symbols] = _identity_prefix(ctx, symbols)
+                    bits = decoded[symbols]
+                if bits is None:
+                    violations.append((g, m, pair, "unreadable" if read is None else "undecodable"))
+                    if reference is None:  # the identity's read: nothing to compare with
+                        break
+                elif reference is None:
+                    reference = bits[m]
+                elif bits[m] != reference:
                     violations.append((g, m, pair, "mismatch"))
     return violations
 
 
-def _base_reads(slc: ProductGridPatch, kappa: int) -> tuple:
+def _base_reads(slc: ProductGridPatch, kappa: int) -> list:
     """The row reads F4 compares on one product grid.
 
-    Returns the identity pair and, for each depth m below kappa, a map
-    from each generator pair (s1, s2) whose cells lie in the balls to the
-    read of length 3^(m+1) rightwards from (s1, s2): the row cells and
-    the column, with None for the cells when the walk leaves the ball.
+    For each depth m below kappa, a (pair, reader, column) for each
+    generator pair (s1, s2) whose cells lie in the balls, the identity
+    pair first: column is the cell of s2, and the reader (`_row_reader`)
+    reads the window of length 3^(m+1) rightwards from the cell of s1.
     """
-    ball1, ball2 = slc.patch1.ball, slc.patch2.ball
-    gens1, gens2 = ball1.oracle.gens, ball2.oracle.gens
-    bases = {}
-    for s1 in gens1.symbols:
-        for s2 in gens2.symbols:
-            idx1 = ball1.index[()] if s1 == gens1.identity else ball1.resolve((s1,))
-            idx2 = ball2.index[()] if s2 == gens2.identity else ball2.resolve((s2,))
-            if idx1 is None or idx2 is None:
-                continue
-            bases[(s1, s2)] = (idx1, idx2)
-    by_depth = []
-    for m in range(kappa):
-        length = 3 ** (m + 1)
-        rows = {}
-        for pair, (idx1, idx2) in bases.items():
-            rows[pair] = (_row_cells(slc.patch1, idx1, length), idx2)
-        by_depth.append(rows)
-    return (gens1.identity, gens2.identity), by_depth
+    edges1, edges2 = slc.patch1.ball.edges, slc.patch2.ball.edges
+    gens1, gens2 = slc.patch1.ball.oracle.gens, slc.patch2.ball.oracle.gens
+    home = (gens1.identity, gens2.identity)
+    pairs = [home, *(p for p in itertools.product(gens1.symbols, gens2.symbols) if p != home)]
+    bases = [(pair, edges1.get((0, pair[0])), edges2.get((0, pair[1]))) for pair in pairs]
+    return [
+        [
+            (pair, _row_reader(slc.patch1, h1, 3 ** (m + 1)), h2)
+            for pair, h1, h2 in bases
+            if h1 is not None and h2 is not None
+        ]
+        for m in range(kappa)
+    ]
 
 
 def factor_phi(patch: FinalPatch, ctx: FactorContext, n: int, at=()) -> str:
@@ -463,11 +438,10 @@ def factor_phi(patch: FinalPatch, ctx: FactorContext, n: int, at=()) -> str:
             f"row ball radius {slc.patch1.ball.radius} cannot hold a {length}-window"
         )
     h2 = slc.patch2.ball.index[()]
-    cells = _row_cells(slc.patch1, slc.patch1.ball.index[()], length)
-    if cells is None:
+    read = _row_reader(slc.patch1, slc.patch1.ball.index[()], length)
+    if read is None:
         raise UndecodableWindow("the rightward walk leaves the grid before the window ends")
-    records = patch.slices[g]
-    bits = _identity_prefix(ctx, (records[h1 * patch.n2 + h2] for h1 in cells))
+    bits = _identity_prefix(ctx, read(patch.slices[g][h2 :: patch.n2]))
     if bits is None:
         raise UndecodableWindow(f"layer {ctx.T.identity!r} does not decode at depth {n}")
     return bits
@@ -486,12 +460,12 @@ def witness_construct(
     caller must provide prefixes (all of one length) for every element of
     the radius+1 ball, keyed by canonical word.  A caller that has built
     that ball passes it as `shell`.  All slices share omega_bar, whose
-    first grid coordinates are computed once from its label chains, as
-    `_seed_coordinates` computes them: the cell pair at first coordinate
-    x of every slice gets the record spread at x.  A chain has at most as
-    many cells as its ball, so |x| is below the first ball's size, which
-    bounds the spread positions, and every cell pair gets a record.
-    Raises CycleDetected when a grid's labels close a cycle.
+    first grid coordinates `grid._coordinates` computes once, as seeding
+    does: the cell pair at first coordinate x of every slice gets the
+    record spread at x.  A chain has at most as many cells as its ball,
+    so |x| is below the first ball's size, which bounds the spread
+    positions, and every cell pair gets a record.  Raises CycleDetected
+    when a grid's labels close a cycle.
     """
     if shell is None:
         shell = cayley_ball(g_ball.oracle, g_ball.radius + 1)
@@ -534,20 +508,15 @@ def witness_construct(
                 )
             column.append(sym)
         if order is None:
-            # Walked once the first slice's records are known, so a bad
+            # Computed once the first slice's records are known, so a bad
             # record is still reported before a label cycle.  Cell
-            # (h1, h2) reads the column at x, entry x + span1, where x is
-            # h1's place on its chain counted from the chain's least cell
-            # (the identity's chain holds cell 0, its least).  The second
-            # factor's chains are walked only to find a label cycle.
-            chains1, where1 = _chains(omega_bar.patch1)
-            _chains(omega_bar.patch2)
-            anchors = [where1[min(chain)][1] for chain in chains1]
+            # (h1, h2) reads the column at entry x1[h1] + span1.  The
+            # second factor's coordinates are computed only to find a
+            # label cycle.
+            _, x1 = _coordinates(omega_bar.patch1)
+            _coordinates(omega_bar.patch2)
             n2 = len(omega_bar.patch2.ball)
-            order = []
-            for h1 in range(span1):
-                chain_id, place = where1[h1]
-                order += [place - anchors[chain_id] + span1] * n2
+            order = [x + span1 for x in x1 for _ in range(n2)]
         slices.append(tuple(map(column.__getitem__, order)))
     return FinalPatch._of_slices(g_ball, dict.fromkeys(range(len(g_ball)), omega_bar), slices)
 
@@ -586,9 +555,7 @@ def hat_phi_project(patch: FinalPatch, ctx: FactorContext, codec: SubshiftCodec)
     for g in range(len(patch.g_ball)):
         patch1 = patch.omega[g].patch1
         if patch1 not in grids:
-            windows = [_row_cells(patch1, h1, length) if ctx.kappa else None for h1 in range(n1)]
-            # The cells of a window as one getter; its length is at least 3.
-            readers = [None if cells is None else itemgetter(*cells) for cells in windows]
+            readers = [_row_reader(patch1, h1, length) if ctx.kappa else None for h1 in range(n1)]
             grids[patch1] = (readers, {})
         readers, columns = grids[patch1]
         records = patch.slices[g]

@@ -213,7 +213,7 @@ def _load_context(path: str):
             raise SchemaError(f"ctx.{key}", "missing")
     spec = subshift_from_descriptor(obj["subshift"], "ctx.subshift")
     radius = obj["radius"]
-    if not isinstance(radius, int) or radius < 0:
+    if type(radius) is not int or radius < 0:
         raise SchemaError("ctx.radius", "expected a non-negative integer")
     codec = make_codec(spec.group, spec.alphabet, radius)
     set_oracle = rho_set_oracle(codec, spec.forbidden)

@@ -164,14 +164,9 @@ class SubshiftCodec(Record):
         return list(map(self.decoding.get, map("".join, zip(*[iter(word)] * self.kappa))))
 
 
-def make_codec(
-    oracle: GroupOracle,
-    alphabet: Alphabet,
-    radius: int,
-    max_elements: int = 1_000_000,
-) -> SubshiftCodec:
+def make_codec(oracle: GroupOracle, alphabet: Alphabet, radius: int) -> SubshiftCodec:
     """Build the codec over the radius-r ball of a group."""
-    return ball_codec(cayley_ball(oracle, radius, max_elements), alphabet)
+    return ball_codec(cayley_ball(oracle, radius), alphabet)
 
 
 def block_length(alphabet: Alphabet) -> int:

@@ -12,6 +12,7 @@ deterministically from the edges of one generator pair.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import (
@@ -476,19 +477,13 @@ def grid_y_check(omega: ProductGridPatch, rows, sft: NNSFT2D) -> Violations:
 def _walk_line(patch: GridPatch, base: int, lo: int, hi: int):
     """Cells at offsets lo..hi−1 from base along the labels, else None."""
     cells = {0: base}
-    right, left = patch.right, patch.left
-    cur = base
-    for z in range(1, max(hi, 1)):
-        cur = right[cur]
-        if cur is None:
-            return None
-        cells[z] = cur
-    cur = base
-    for z in range(-1, min(lo, 0) - 1, -1):
-        cur = left[cur]
-        if cur is None:
-            return None
-        cells[z] = cur
+    for step, offsets in ((patch.right, range(1, hi)), (patch.left, range(-1, lo - 1, -1))):
+        cur = base
+        for z in offsets:
+            cur = step[cur]
+            if cur is None:
+                return None
+            cells[z] = cur
     return {z: c for z, c in cells.items() if lo <= z < hi}
 
 
@@ -529,8 +524,6 @@ def _chains(patch: GridPatch):
             if prev == cur or steps > len(patch.ball):
                 raise CycleDetected(f"cell {h} lies on a label cycle")
             cur, steps = prev, steps + 1
-        if cur in where:
-            continue
         chain = []
         chain_id = len(chains)
         while cur is not None and cur not in where:
@@ -540,12 +533,36 @@ def _chains(patch: GridPatch):
             if nxt == cur:
                 raise CycleDetected(f"cell {cur} is a label fixed point")
             cur = nxt
-            if len(chain) > len(patch.ball):
-                raise CycleDetected(f"cell {h} lies on a label cycle")
         if cur is not None and where.get(cur, (None,))[0] == chain_id:
             raise CycleDetected(f"cell {cur} closes a label cycle")
         chains.append(chain)
     return chains, where
+
+
+def _coordinates(patch: GridPatch):
+    """The label chains and each cell's grid coordinate x[h]: h's place on
+    its chain minus the place of the chain's least cell, so the identity,
+    cell 0, sits at 0.  Raises CycleDetected when the labels close a cycle.
+    """
+    chains, _ = _chains(patch)
+    x = [0] * len(patch.ball)
+    for chain in chains:
+        for place, h in enumerate(chain, -chain.index(min(chain))):
+            x[h] = place
+    return chains, x
+
+
+def _row_reader(patch: GridPatch, h: int, length: int):
+    """A getter of the row window of a length rightwards from h out of a
+    column's records, indexed by row cell; None when the walk leaves the
+    ball."""
+    line = _walk_line(patch, h, 0, length)
+    if line is None:
+        return None
+    if length == 1:
+        # An itemgetter of one index returns the item, not a 1-tuple.
+        return lambda column: (column[h],)
+    return itemgetter(*(line[x] for x in range(length)))
 
 
 class SeedFailure(Record):
@@ -557,47 +574,25 @@ class SeedFailure(Record):
         self.reason = reason
 
 
-def _seed_coordinates(omega: ProductGridPatch) -> dict:
-    """Grid coordinates of every cell pair, orbit class by orbit class.
-
-    A class is a chain in each factor, (id1, id2) ↦ {(h1, h2): (x, y)} in
-    chain order.  The class of the identity pair is anchored so the
-    identity sits at (0, 0); every other class anchors its least cell
-    pair there.  Raises CycleDetected when a factor's labels close a cycle.
-    """
-    chains1, where1 = _chains(omega.patch1)
-    chains2, where2 = _chains(omega.patch2)
-    home = (where1[0][0], where2[0][0])
-    classes = {}
-    for id1, chain1 in enumerate(chains1):
-        for id2, chain2 in enumerate(chains2):
-            if (id1, id2) == home:
-                a1, a2 = where1[0][1], where2[0][1]
-            else:
-                a1, a2 = where1[min(chain1)][1], where2[min(chain2)][1]
-            classes[(id1, id2)] = {
-                (h1, h2): (where1[h1][1] - a1, where2[h2][1] - a2)
-                for h1 in chain1
-                for h2 in chain2
-            }
-    return classes
-
-
 def seed_grid_from_config(omega: ProductGridPatch, c: Patch2D, sft: NNSFT2D = None):
     """Spread a planar patch over a product ball along the grid labels.
 
-    Each cell pair reads c at its grid coordinates (`_seed_coordinates`),
-    so read_grid at the identity pair reproduces c.  Returns that total
-    configuration y, or a SeedFailure when c does not cover some class's
-    coordinate span.
+    Cell pair (h1, h2) reads c at the grid coordinates `_coordinates`
+    gives h1 and h2, so read_grid at the identity pair reproduces c.
+    Returns that total configuration y, or a SeedFailure for the first
+    cell, orbit class (a chain pair) by class, that c does not cover.
+    Raises CycleDetected when a factor's labels close a cycle.
     """
     if sft is not None:
         bad = check_patch_nn(sft, c)
         if bad:
             return SeedFailure(f"source patch violates the local rule at {bad[0][0]}")
+    chains1, x1 = _coordinates(omega.patch1)
+    chains2, x2 = _coordinates(omega.patch2)
     y = {}
-    for (id1, id2), cells in _seed_coordinates(omega).items():
-        for key, (x, yy) in cells.items():
+    for (id1, chain1), (id2, chain2) in itertools.product(enumerate(chains1), enumerate(chains2)):
+        for h1, h2 in itertools.product(chain1, chain2):
+            x, yy = x1[h1], x2[h2]
             if not c.contains(x, yy):
                 return SeedFailure(
                     f"source patch misses cell ({x},{yy}) needed by class ({id1},{id2})"
@@ -605,7 +600,7 @@ def seed_grid_from_config(omega: ProductGridPatch, c: Patch2D, sft: NNSFT2D = No
             val = c.get(x, yy)
             if val is None:
                 return SeedFailure(f"source patch has a hole at ({x},{yy})")
-            y[key] = val
+            y[(h1, h2)] = val
     return y
 
 

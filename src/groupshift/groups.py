@@ -653,7 +653,7 @@ def group_from_descriptor(obj, path: str = "group") -> GroupOracle:
     kind = obj.get("kind")
     if kind == "free_abelian" or kind == "free":
         rank = obj.get("rank")
-        if not isinstance(rank, int) or rank < 1:
+        if type(rank) is not int or rank < 1:
             raise SchemaError(f"{path}.rank", "expected a positive integer")
         return FreeAbelianOracle(rank) if kind == "free_abelian" else FreeGroupOracle(rank)
     if kind == "grigorchuk":
@@ -732,7 +732,7 @@ def ball_from_descriptor(obj, path: str, *fields, balls: Optional[dict] = None) 
             raise SchemaError(f"{path}.{key}", "missing")
     oracle = group_from_descriptor(obj["group"], f"{path}.group")
     radius = obj["radius"]
-    if not isinstance(radius, int) or radius < 0:
+    if type(radius) is not int or radius < 0:
         raise SchemaError(f"{path}.radius", "expected a non-negative integer")
     if balls is None:
         balls = {}

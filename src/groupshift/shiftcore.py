@@ -190,7 +190,7 @@ def patch_from_descriptor(obj, path: str = "patch") -> Patch2D:
         raise SchemaError(path, "expected an object")
     origin = obj.get("origin", [0, 0])
     if not (
-        isinstance(origin, list) and len(origin) == 2 and all(isinstance(v, int) for v in origin)
+        isinstance(origin, list) and len(origin) == 2 and all(type(v) is int for v in origin)
     ):
         raise SchemaError(f"{path}.origin", "expected [x, y] integers")
     rows = obj.get("rows")

@@ -1045,3 +1045,55 @@ def test_rebased_reads_disagreeing_below_the_first_bit():
     assert {(m, pair, problem) for _, m, pair, problem in out} == {
         (1, (s1, s2), "mismatch") for s1 in ("1", "x", "x-") for s2 in ("x", "x-")
     }
+
+
+def reference_F2(patch):
+    """F2 cell pair by cell pair: (row label, column label) on each side."""
+
+    def omega_at(g, h1, h2):
+        slc = patch.omega[g]
+        return (slc.patch1.labels[h1], slc.patch2.labels[h2])
+
+    gens = patch.g_ball.oracle.gens
+    violations = []
+    for g in range(len(patch.g_ball)):
+        for s in gens.symbols:
+            if s == gens.identity:
+                continue
+            t = patch.g_ball.edges.get((g, s))
+            if t is None:
+                continue
+            a, b = patch.omega[g], patch.omega[t]
+            if a is b:
+                continue
+            for h1 in range(len(a.patch1.ball)):
+                for h2 in range(len(a.patch2.ball)):
+                    if omega_at(g, h1, h2) != omega_at(t, h1, h2):
+                        violations.append(((g, h1, h2), s))
+    return violations
+
+
+def relabelled(gp, cells):
+    """The grid with the labels of the given cells set to the identity pair."""
+    return GridPatch(gp.ball, {**gp.labels, **dict.fromkeys(cells, GridLabel("1", "1"))})
+
+
+@pytest.mark.parametrize("differ", ["rows", "columns", "both"])
+def test_f2_matches_the_cell_by_cell_reference_in_order(differ):
+    # Slices 1 and 2 (of three along a line) each change some labels of
+    # the row grid, of the column grid, or of both.
+    patch, _, _ = golden_witness(radius1=4, radius2=2)
+    bar = patch.omega[0]
+    rng = random.Random(differ)
+    omega = dict(patch.omega)
+    for g in (1, 2):
+        rows, columns = bar.patch1, bar.patch2
+        if differ != "columns":
+            rows = relabelled(rows, rng.sample(range(len(rows.ball)), 2))
+        if differ != "rows":
+            columns = relabelled(columns, rng.sample(range(len(columns.ball)), 2))
+        omega[g] = ProductGridPatch(rows, columns)
+    mutated = FinalPatch(patch.g_ball, omega, patch.y_sym)
+    out = check_F2(mutated)
+    assert out
+    assert out == reference_F2(mutated)

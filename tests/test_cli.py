@@ -984,6 +984,43 @@ def test_wrong_value_types_exit_two(tmp_path, capsys):
         assert err.startswith(f"error: {where}: expected"), err
 
 
+# name: (command, None standing for a valid SFT file; flag of the document;
+#        valid document; key path of the integer field; field path in the error)
+INTEGER_FIELDS = {
+    "group rank": (["ball", "--radius", "1"], "--group",
+                   lambda: dict(Z), ("rank",), "group.rank"),
+    "ball radius": (["grid", "check"], "--grid",
+                    lambda: line_grid_descriptor(2), ("radius",), "grid.radius"),
+    "coloring k": (["aperiodic", "verify", "--maxlen", "2"], "--coloring",
+                   lambda: _coloring_doc(None), ("k",), "coloring.k"),
+    "coloring value": (["aperiodic", "verify", "--maxlen", "2"], "--coloring",
+                       lambda: _coloring_doc(None), ("colors", "x"), "coloring.colors['x']"),
+    "context radius": (["final", "check", "--patch", "unread.json"], "--ctx",
+                       lambda: {"subshift": GOLDEN_SUBSHIFT, "radius": 4}, ("radius",),
+                       "ctx.radius"),
+    "patch origin": (["nn", "check", "--sft", None], "--patch",
+                     lambda: {"origin": [0, 0], "rows": [["1", "0"]]}, ("origin", 0),
+                     "patch.origin"),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_json_booleans_are_not_integers(field, value, tmp_path, capsys):
+    # `isinstance(True, int)` holds, so a check by isinstance alone takes
+    # `true` for 1 and `false` for 0.
+    argv, flag, make, keys, where = INTEGER_FIELDS[field]
+    doc = inner = make()
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    sft = write(tmp_path, "sft.json", GOLDEN_SFT)
+    argv = [sft if arg is None else arg for arg in argv]
+    code, out, err = run_cli(capsys, [*argv, flag, write(tmp_path, "doc.json", doc)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}: expected"), err
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

@@ -82,6 +82,22 @@ def test_one_budget_and_no_hand_rolled_step_counter():
     assert holders == []
 
 
+def test_only_grid_walks_the_labels():
+    # `grid` turns labels into chain coordinates and row windows; a module
+    # that stepped along `right` or `left` itself, or called `_walk_line`,
+    # would be a second owner of those reads.
+    walkers = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted((SRC / "groupshift").glob("*.py"))
+        if path.name != "grid.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("right", "left", "_walk_line"))
+        or (isinstance(node, ast.Name) and node.id == "_walk_line")
+        or (isinstance(node, ast.alias) and node.name == "_walk_line")
+    ]
+    assert walkers == []
+
+
 def test_no_memo_outlives_a_call():
     # The checkers memoise within one call and keep nothing after it: a
     # process-wide cache, or a container bound at module level, would carry
