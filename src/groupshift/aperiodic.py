@@ -50,7 +50,7 @@ class ColoredBall:
             c = colors.get(h)
             if c is None:
                 raise SchemaError(f"colors[{h}]", "colors must cover the whole ball")
-            if not isinstance(c, int) or not 0 <= c < k:
+            if type(c) is not int or not 0 <= c < k:
                 raise SchemaError(f"colors[{h}]", f"expected an integer in [0, {k})")
         self.ball = ball
         self.colors = dict(colors)

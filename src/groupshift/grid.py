@@ -337,58 +337,56 @@ def _components(adjacency):
     return comps
 
 
-def _cycle_components(adjacency):
-    return [c for c in _components(adjacency) if all(len(adjacency[v]) == 2 for v in c)]
-
-
 def _repair_cycles(adjacency, ball, interior_limit):
-    """Cut or merge cycle components until only paths remain."""
-    guard = 0
-    while True:
-        cycles = _cycle_components(adjacency)
-        if not cycles or guard > len(adjacency) + 5:
-            return adjacency, cycles
-        guard += 1
-        cycle = min(cycles, key=min)
-        boundary_edges = sorted(
-            (a, b)
-            for a in cycle
-            for b in adjacency[a]
-            if a < b
-            and ball.distance[a] > interior_limit
-            and ball.distance[b] > interior_limit
-        )
-        if boundary_edges:
-            a, b = max(
-                boundary_edges,
-                key=lambda e: (
-                    min(ball.distance[e[0]], ball.distance[e[1]]),
-                    max(ball.distance[e[0]], ball.distance[e[1]]),
-                    (-e[0], -e[1]),
-                ),
-            )
-            adjacency[a].discard(b)
-            adjacency[b].discard(a)
-            continue
-        if not _two_opt(adjacency, ball, cycle):
-            return adjacency, cycles
+    """Cut or merge cycle components until only paths remain, in one pass.
+
+    The components are found once and walked in order of least cell.  A
+    cut keeps a component's cells; a merge joins two components, which
+    `comp_of` records, and a cycle merged with another cycle is a cycle
+    again, so it is repaired once more.  Paths never close into cycles.
+    On failure the current cycle and the later cycles are returned.
+    """
+    comps = _components(adjacency)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    is_cycle = [all(len(adjacency[v]) == 2 for v in comp) for comp in comps]
+    depth = ball.distance
+    for i, cycle in enumerate(comps):
+        while is_cycle[i]:
+            cuts = [
+                (a, b)
+                for a in cycle
+                for b in adjacency[a]
+                if a < b and depth[a] > interior_limit and depth[b] > interior_limit
+            ]
+            if cuts:
+                # The outermost boundary edge; ties go to the least cells.
+                a, b = max(cuts, key=lambda e: (sorted(depth[v] for v in e), -e[0], -e[1]))
+                adjacency[a].discard(b)
+                adjacency[b].discard(a)
+                is_cycle[i] = False
+                continue
+            j = _two_opt(adjacency, ball, cycle, comp_of)
+            if j is None:
+                later = [c for k, c in enumerate(comps) if k > i and is_cycle[k]]
+                return adjacency, [cycle] + later
+            for v in comps[j]:
+                comp_of[v] = i
+            cycle |= comps[j]
+            is_cycle[i], is_cycle[j] = is_cycle[j], False
+    return adjacency, []
 
 
-def _two_opt(adjacency, ball, cycle):
-    """Exchange one cycle edge with an edge of another component."""
-    comp_of = {}
-    for comp in _components(adjacency):
-        tag = min(comp)
-        for v in comp:
-            comp_of[v] = tag
+def _two_opt(adjacency, ball, cycle, comp_of):
+    """Exchange one cycle edge with an edge of another component; the
+    index of that component in `comp_of`, or None when no exchange fits."""
     tag = comp_of[min(cycle)]
     for a in sorted(cycle):
         for b in sorted(adjacency[a]):
             for c in sorted(ball.neighbors(a)):
-                if comp_of.get(c, -1) == tag or not adjacency.get(c):
+                if comp_of.get(c, tag) == tag:  # c is isolated or on the cycle
                     continue
                 for d in sorted(adjacency[c]):
-                    if d in ball.neighbors(b) and comp_of.get(d) == comp_of[c]:
+                    if d in ball.neighbors(b):
                         adjacency[a].discard(b)
                         adjacency[b].discard(a)
                         adjacency[c].discard(d)
@@ -397,8 +395,8 @@ def _two_opt(adjacency, ball, cycle):
                         adjacency[c].add(a)
                         adjacency[b].add(d)
                         adjacency[d].add(b)
-                        return True
-    return False
+                        return comp_of[c]
+    return None
 
 
 def _orient(adjacency, ball) -> PathCover:

@@ -115,17 +115,13 @@ def decode_procedure(w: str):
 
     Decomposes repeatedly, collecting one bit per round, until a single
     symbol remains; returns the n+1 collected bits, or None as soon as a
-    round has no valid decomposition.
+    round has no valid decomposition.  A bad length is reported before a
+    bad symbol.  This is the one decoder: `top1d_forbidden` and every row
+    read of `groupshift.assembly` go through it.
     """
-    if _power_of_three(len(w)):  # a bad length is reported first, by _decode
-        _check_tword(w)
-    return _decode(w)
-
-
-def _decode(w: str):
-    """`decode_procedure` of a word whose symbols are checked."""
     if not _power_of_three(len(w)):
         raise BadLength(f"length {len(w)} is not a power of three (≥ 3)")
+    _check_tword(w)
     bits = []
     current = w
     while len(current) >= 3:
@@ -194,26 +190,6 @@ def action_layers(oracle: ActionOracle) -> tuple:
     return tuple(dict.fromkeys((oracle.identity, *oracle.generators)))
 
 
-def _decoded_layers(w: LayeredWord, T: ActionOracle, decided=None):
-    """The decoded prefix of every layer, in `action_layers` order, or
-    None as soon as one layer does not decode.  `LayeredWord` has checked
-    the symbols, so only the length is checked here.  `decided`, when
-    given, keeps the decoded prefix (or None) of each layer string, so a
-    string is decoded once however many windows carry it."""
-    if decided is None:
-        decided = {}
-    decoded = []
-    for s in action_layers(T):
-        word = w.layer(s)
-        if word not in decided:
-            decided[word] = _decode(word)
-        bits = decided[word]
-        if bits is None:
-            return None
-        decoded.append(bits)
-    return tuple(decoded)
-
-
 def _prefixes_forbidden(decoded: tuple, X: SetOracle, T: ActionOracle, budget: int):
     """The oracle step of `top1d_forbidden`; the identity's prefix is first."""
     base = decoded[0]
@@ -234,18 +210,26 @@ def top1d_forbidden(
     action generator plus the identity.  It is Forbidden when some layer
     fails to decode, or when the oracles certify — within the per-query
     budget — that some decoded prefix u(s) has empty cylinder in X, or
-    that [u(s)] misses the s-image of [u(identity)] ∩ X.  The verdict
-    depends only on the layer strings, so a caller that tests many windows
-    passes one dict as `decided`.  It keeps the decoded prefix (or None)
-    of each layer string and the verdict of each decoded tuple: each
-    distinct layer string is decoded once, and the oracles are asked once
-    per tuple.  A string key never meets a tuple key.
+    that [u(s)] misses the s-image of [u(identity)] ∩ X.  The layers are
+    decoded by `decode_procedure` in `action_layers` order, stopping at
+    the first that fails.  The verdict depends only on the layer strings,
+    so a caller that tests many windows passes one dict as `decided`.  It
+    keeps the decoded prefix (or None) of each layer string and the
+    verdict of each decoded tuple: each distinct layer string is decoded
+    once, and the oracles are asked once per tuple.  A string key never
+    meets a tuple key.
     """
     if decided is None:
         decided = {}
-    decoded = _decoded_layers(w, T, decided)
-    if decoded is None:
-        return WindowVerdict.FORBIDDEN
+    decoded = []
+    for s in action_layers(T):
+        word = w.layer(s)
+        if word not in decided:
+            decided[word] = decode_procedure(word)
+        if decided[word] is None:
+            return WindowVerdict.FORBIDDEN
+        decoded.append(decided[word])
+    decoded = tuple(decoded)
     verdict = decided.get(decoded)
     if verdict is None:
         verdict = decided[decoded] = _prefixes_forbidden(decoded, X, T, budget)

@@ -85,6 +85,15 @@ def test_colored_ball_must_be_total_and_in_range():
     assert cb.colors[1] == 1
 
 
+def test_bool_colors_are_rejected_and_integer_colors_round_trip():
+    # bool is a subclass of int, but a JSON boolean is not a color.
+    ball = line_ball(2)
+    with pytest.raises(SchemaError, match=r"^colors\[\d+\]: expected an integer in \[0, 2\)$"):
+        ColoredBall(ball, {h: bool(h % 2) for h in range(len(ball))}, 2)
+    cb = ColoredBall(ball, {h: h % 2 for h in range(len(ball))}, 2)
+    assert colored_ball_from_descriptor(colored_ball_to_descriptor(cb)).colors == cb.colors
+
+
 def test_period_candidate_must_move_something():
     with pytest.raises(ValueError):
         PeriodCandidate(((), ()))

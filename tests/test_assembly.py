@@ -637,7 +637,7 @@ def test_row_memos_test_each_window_and_decode_each_layer_string_once(monkeypatc
         return tuple(window.layers.values())
 
     monkeypatch.setattr(assembly, "top1d_forbidden", recorded("F1", top1d_forbidden, layers))
-    monkeypatch.setattr(toeplitz, "_decode", recorded("decode", toeplitz._decode, str))
+    monkeypatch.setattr(toeplitz, "decode_procedure", recorded("decode", decode_procedure, str))
     monkeypatch.setattr(
         assembly,
         "_identity_prefix",
@@ -1015,8 +1015,11 @@ def test_f1_on_equal_but_distinct_grids_and_on_a_shared_label_cycle():
 def test_each_decoded_prefix_tuple_is_decided_once(monkeypatch):
     patch, ctx, codec = golden_witness(radius1=28, radius2=28)
     windows = {symbols for _, _, symbols in f1_windows(patch)}
-    decoded = {toeplitz._decoded_layers(layered(ctx, symbols), ctx.T) for symbols in windows}
-    decoded.discard(None)
+    decoded = {
+        tuple(decode_procedure(layered(ctx, symbols).layer(s)) for s in ctx.layers)
+        for symbols in windows
+    }
+    decoded = {bits for bits in decoded if None not in bits}
     assert (len(windows), len(decoded)) == (58, 2)
     calls = []
     original = toeplitz._prefixes_forbidden

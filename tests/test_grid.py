@@ -215,24 +215,27 @@ def test_order_two_group_has_no_cover():
     assert "no generator pair" in result.reason
 
 
+# Z/2 × Z/2 as two commuting involutions.
+KLEIN_FOUR = {
+    "kind": "mealy",
+    "states": ["p", "q", "e"],
+    "transition": {
+        "p": {"0": "e", "1": "e"},
+        "q": {"0": "p", "1": "p"},
+        "e": {"0": "e", "1": "e"},
+    },
+    "output": {
+        "p": {"0": "1", "1": "0"},
+        "q": {"0": "0", "1": "1"},
+        "e": {"0": "0", "1": "1"},
+    },
+    "generators": {"s": ["p"], "t": ["q"]},
+}
+
+
 def test_cover_failure_names_the_pairs_tried_and_the_best_problem():
-    # Z/2 × Z/2 as two commuting involutions: the single pair closes a 4-cycle.
-    descriptor = {
-        "kind": "mealy",
-        "states": ["p", "q", "e"],
-        "transition": {
-            "p": {"0": "e", "1": "e"},
-            "q": {"0": "p", "1": "p"},
-            "e": {"0": "e", "1": "e"},
-        },
-        "output": {
-            "p": {"0": "1", "1": "0"},
-            "q": {"0": "0", "1": "1"},
-            "e": {"0": "0", "1": "1"},
-        },
-        "generators": {"s": ["p"], "t": ["q"]},
-    }
-    ball = cayley_ball(group_from_descriptor(descriptor), 2)
+    # The single pair of Klein four closes a 4-cycle.
+    ball = cayley_ball(group_from_descriptor(KLEIN_FOUR), 2)
     assert len(ball) == 4
     result = path_cover_search(ball, 1)
     assert isinstance(result, CoverFailure)
@@ -330,6 +333,93 @@ def test_cover_search_moves_past_pairs_that_close_cycles(monkeypatch):
     # (b, c) and (b, d) generate Klein four-groups; the cover uses a.
     patch = from_translation_action(ball, cover.succ, cover.pred, within=3)
     assert "a" in {patch.labels[h].right for h in range(len(patch.ball))}
+
+
+# The multi-pass cycle repair that the one-pass `_repair_cycles` replaced:
+# it recomputes the components after every cut and every exchange.
+
+
+def reference_repair_cycles(adjacency, ball, interior_limit):
+    guard = 0
+    while True:
+        cycles = [
+            c for c in grid._components(adjacency) if all(len(adjacency[v]) == 2 for v in c)
+        ]
+        if not cycles or guard > len(adjacency) + 5:
+            return adjacency, cycles
+        guard += 1
+        cycle = min(cycles, key=min)
+        boundary_edges = sorted(
+            (a, b)
+            for a in cycle
+            for b in adjacency[a]
+            if a < b
+            and ball.distance[a] > interior_limit
+            and ball.distance[b] > interior_limit
+        )
+        if boundary_edges:
+            a, b = max(
+                boundary_edges,
+                key=lambda e: (
+                    min(ball.distance[e[0]], ball.distance[e[1]]),
+                    max(ball.distance[e[0]], ball.distance[e[1]]),
+                    (-e[0], -e[1]),
+                ),
+            )
+            adjacency[a].discard(b)
+            adjacency[b].discard(a)
+            continue
+        if not reference_two_opt(adjacency, ball, cycle):
+            return adjacency, cycles
+
+
+def reference_two_opt(adjacency, ball, cycle):
+    comp_of = {}
+    for comp in grid._components(adjacency):
+        tag = min(comp)
+        for v in comp:
+            comp_of[v] = tag
+    tag = comp_of[min(cycle)]
+    for a in sorted(cycle):
+        for b in sorted(adjacency[a]):
+            for c in sorted(ball.neighbors(a)):
+                if comp_of.get(c, -1) == tag or not adjacency.get(c):
+                    continue
+                for d in sorted(adjacency[c]):
+                    if d in ball.neighbors(b) and comp_of.get(d) == comp_of[c]:
+                        adjacency[a].discard(b)
+                        adjacency[b].discard(a)
+                        adjacency[c].discard(d)
+                        adjacency[d].discard(c)
+                        adjacency[a].add(c)
+                        adjacency[c].add(a)
+                        adjacency[b].add(d)
+                        adjacency[d].add(b)
+                        return True
+    return False
+
+
+def cover_outcome(cover):
+    if isinstance(cover, CoverFailure):
+        return cover.reason
+    return cover.succ, cover.pred
+
+
+@pytest.mark.parametrize("radius, margin", [(3, 1), (5, 2)])
+def test_one_pass_repair_merges_components_as_the_multi_pass_reference(
+    monkeypatch, radius, margin
+):
+    descriptor = {"kind": "product", "factors": [KLEIN_FOUR, GRIGORCHUK]}
+    ball = cayley_ball(group_from_descriptor(descriptor), radius)
+    merges = []
+    original = grid._two_opt
+    monkeypatch.setattr(
+        grid, "_two_opt", lambda *args: merges.append(original(*args)) or merges[-1]
+    )
+    found = cover_outcome(path_cover_search(ball, margin))
+    assert any(j is not None for j in merges)
+    monkeypatch.setattr(grid, "_repair_cycles", reference_repair_cycles)
+    assert found == cover_outcome(path_cover_search(ball, margin))
 
 
 def test_interior_mutations_of_the_plane_patch_are_visible():

@@ -1,6 +1,6 @@
-"""The benchmark's tracer finds every library function it wraps, its
-in-process workloads run against the library, and the CLI's imports stay
-free of modules that slow every process start."""
+"""The benchmark's tracer finds every library function it wraps and sees
+every decode, its in-process workloads run against the library, and the
+CLI's imports stay free of modules that slow every process start."""
 
 from __future__ import annotations
 
@@ -168,3 +168,34 @@ def test_in_process_benchmark_workloads_run_and_check_one_job(module, tmp_path, 
         job = workload.inputs(spec)
         attempted, failed = workload.check(job, workload.run(job))
         assert attempted > 0 and failed == 0
+
+
+def test_the_tracer_sees_every_decode_of_F1(monkeypatch):
+    # `toeplitz.decodes` counts calls of `decode_procedure`, wrapped as
+    # bench/tracing.py wraps it: every module attribute bound to it is
+    # rebound.  A second decoder that F1 called instead would hide its
+    # decodes from that row.
+    monkeypatch.syspath_prepend(str(ROOT / "tests"))
+    from test_assembly import f1_windows, golden_witness, layered
+
+    from groupshift import assembly, toeplitz
+
+    seen = set()
+    original = toeplitz.decode_procedure
+
+    def wrapper(word):
+        seen.add(word)
+        return original(word)
+
+    for module in list(sys.modules.values()):
+        if module is None:
+            continue
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, wrapper)
+    patch, ctx, _ = golden_witness()
+    strings = {
+        word for _, _, symbols in f1_windows(patch) for word in layered(ctx, symbols).layers.values()
+    }
+    assert strings and assembly.check_F1(patch, ctx) == []
+    assert strings <= seen
