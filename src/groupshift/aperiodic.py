@@ -20,7 +20,7 @@ import itertools
 import sys
 from enum import Enum
 
-from .errors import GroupshiftError, Record, ResourceLimit, SchemaError, Value
+from .errors import GroupshiftError, Record, ResourceLimit, SchemaError, Value, read_int
 from .groups import (
     CayleyBall,
     Word,
@@ -41,9 +41,10 @@ class PeriodStatus(Enum):
 
 
 class ColoredBall:
-    """A total assignment of color indices below ``k`` to a ball."""
+    """A total assignment of color indices below ``k`` to a ball; `paths`,
+    when given, names the field of each cell in range errors."""
 
-    def __init__(self, ball: CayleyBall, colors: dict, k: int):
+    def __init__(self, ball: CayleyBall, colors: dict, k: int, paths: dict | None = None):
         if k < 1:
             raise SchemaError("k", "need at least one color")
         for h in range(len(ball)):
@@ -51,7 +52,8 @@ class ColoredBall:
             if c is None:
                 raise SchemaError(f"colors[{h}]", "colors must cover the whole ball")
             if type(c) is not int or not 0 <= c < k:
-                raise SchemaError(f"colors[{h}]", f"expected an integer in [0, {k})")
+                where = paths[h] if paths else f"colors[{h}]"
+                raise SchemaError(where, f"expected an integer in [0, {k})")
         self.ball = ball
         self.colors = dict(colors)
         self.k = k
@@ -382,12 +384,8 @@ def colored_ball_to_descriptor(cb: ColoredBall) -> dict:
 
 def colored_ball_from_descriptor(obj, path: str = "coloring") -> ColoredBall:
     ball = ball_from_descriptor(obj, path, "k", "colors")
-    k = obj["k"]
-    if type(k) is not int or k < 1:
-        raise SchemaError(f"{path}.k", "expected a positive integer")
-    colors = {}
+    k = read_int(obj["k"], f"{path}.k", 1)
+    colors, paths = {}, {}
     for idx, value, where in cells_from_words(ball, obj["colors"], f"{path}.colors"):
-        if type(value) is not int:
-            raise SchemaError(where, "expected an integer")
-        colors[idx] = value
-    return ColoredBall(ball, colors, k)
+        colors[idx], paths[idx] = read_int(value, where), where
+    return ColoredBall(ball, colors, k, paths)

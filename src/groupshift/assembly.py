@@ -25,6 +25,7 @@ from .errors import (
     SchemaError,
     UndecodableWindow,
     UnknownSymbol,
+    need,
 )
 from .grid import (
     ProductGridPatch,
@@ -612,8 +613,7 @@ def final_patch_from_descriptor(obj, path: str = "final") -> FinalPatch:
     g_ball = ball_from_descriptor(obj, path, "omega", "y", balls=balls)
     omega = {}
     for g, pair, where in cells_from_words(g_ball, obj["omega"], f"{path}.omega"):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(where, "expected [rows, columns]")
+        need(isinstance(pair, list) and len(pair) == 2, where, "expected [rows, columns]")
         omega[g] = ProductGridPatch(
             grid_patch_from_descriptor(pair[0], f"{where}[0]", balls),
             grid_patch_from_descriptor(pair[1], f"{where}[1]", balls),
@@ -621,13 +621,11 @@ def final_patch_from_descriptor(obj, path: str = "final") -> FinalPatch:
     # Records in cell-index order, None until read; FinalPatch rejects a gap.
     slices = {g: [None] * len(slc.patch1.ball) * len(slc.patch2.ball) for g, slc in omega.items()}
     for g, rows, where in cells_from_words(g_ball, obj["y"], f"{path}.y"):
-        if g not in omega:
-            raise SchemaError(where, "names a cell without a slice")
+        need(g in omega, where, "names a cell without a slice")
         slc, records = omega[g], slices[g]
         n2 = len(slc.patch2.ball)
         for h1, row, row_where in cells_from_words(slc.patch1.ball, rows, where):
             for h2, sym, cell_where in cells_from_words(slc.patch2.ball, row, row_where):
-                if not isinstance(sym, str):
-                    raise SchemaError(cell_where, "expected a symbol")
+                need(isinstance(sym, str), cell_where, "expected a symbol")
                 records[h1 * n2 + h2] = sym
     return FinalPatch._of_slices(g_ball, omega, [slices.get(g, ()) for g in range(len(g_ball))])

@@ -59,6 +59,9 @@ from .errors import (
     ResourceLimit,
     SchemaError,
     UndecodableWindow,
+    fields,
+    need,
+    read_int,
 )
 from .grid import (
     CoverFailure,
@@ -152,20 +155,17 @@ def main(argv=None) -> int:
 # shared helpers
 
 
-def _load_json(path: str):
+def _load_json(path: str, key: str = ""):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON ({exc})") from None
-
-
-def _unwrap(obj, key: str):
     # Reports produced by this tool can be fed straight back in: when the
     # file is an envelope carrying the artifact under `key`, peel it off.
-    if isinstance(obj, dict) and obj.get("schema") == SCHEMA and key in obj:
+    if key and isinstance(obj, dict) and obj.get("schema") == SCHEMA and key in obj:
         return obj[key]
     return obj
 
@@ -200,21 +200,14 @@ def _ball_dot(ball) -> str:
 
 
 def _load_grid(path: str, key: str, balls=None):
-    return grid_patch_from_descriptor(_unwrap(_load_json(path), "grid"), key, balls)
+    return grid_patch_from_descriptor(_load_json(path, "grid"), key, balls)
 
 
 def _load_context(path: str):
     """An effective-subshift context file: {"subshift": ..., "radius": n}."""
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise SchemaError("ctx", "expected an object")
-    for key in ("subshift", "radius"):
-        if key not in obj:
-            raise SchemaError(f"ctx.{key}", "missing")
-    spec = subshift_from_descriptor(obj["subshift"], "ctx.subshift")
-    radius = obj["radius"]
-    if type(radius) is not int or radius < 0:
-        raise SchemaError("ctx.radius", "expected a non-negative integer")
+    subshift, radius = fields(_load_json(path), "ctx", "subshift", "radius")
+    spec = subshift_from_descriptor(subshift, "ctx.subshift")
+    radius = read_int(radius, "ctx.radius", 0)
     codec = make_codec(spec.group, spec.alphabet, radius)
     set_oracle = rho_set_oracle(codec, spec.forbidden)
     action_oracle = rho_action_oracle(codec, spec.forbidden)
@@ -252,13 +245,13 @@ def _cmd_wp(args):
 
 def _cmd_nn_check(args):
     sft = sft_from_descriptor(_load_json(args.sft))
-    patch = patch_from_descriptor(_unwrap(_load_json(args.patch), "patch"))
+    patch = patch_from_descriptor(_load_json(args.patch, "patch"))
     return _check_report(check_patch_nn(sft, patch))
 
 
 def _cmd_nn_extend(args):
     sft = sft_from_descriptor(_load_json(args.sft))
-    partial = patch_from_descriptor(_unwrap(_load_json(args.patch), "patch"))
+    partial = patch_from_descriptor(_load_json(args.patch, "patch"))
     try:
         completed = patch_extension_search(sft, partial, args.max_nodes)
     except ResourceLimit as exc:
@@ -273,7 +266,7 @@ def _cmd_nn_extend(args):
 
 
 def _cmd_oracle_query(args):
-    spec = subshift_from_descriptor(_unwrap(_load_json(args.subshift), "subshift"))
+    spec = subshift_from_descriptor(_load_json(args.subshift, "subshift"))
     word = args.word
     if args.radius is None:
         # Smallest ball that has an address for every block of the word.
@@ -305,19 +298,16 @@ def _cmd_toeplitz_encode(args):
 def _cmd_toeplitz_decode(args):
     if args.file:
         layers = _load_json(args.file)
-        if not isinstance(layers, dict) or not layers:
-            raise SchemaError("file", "expected a non-empty object of layer words")
+        ok = isinstance(layers, dict) and layers
+        need(ok, "file", "expected a non-empty object of layer words")
         decoded = {}
         for sym in sorted(layers):
-            layer = layers[sym]
-            if not isinstance(layer, str):
-                raise SchemaError(f"file[{sym!r}]", "expected a string")
-            decoded[sym] = decode_procedure(layer)
+            need(isinstance(layers[sym], str), f"file[{sym!r}]", "expected a string")
+            decoded[sym] = decode_procedure(layers[sym])
         ok = all(bits is not None for bits in decoded.values())
         return {"layers": decoded}, 0 if ok else 1, None
     word = args.word
-    if word is None:
-        raise SchemaError("word", "pass --word or --file")
+    need(word is not None, "word", "pass --word or --file")
     bits = decode_procedure(word)
     return {"word": word, "prefix": bits}, 0 if bits is not None else 1, bits or ""
 
@@ -337,8 +327,7 @@ def _cmd_grid_trace(args):
     patch = _load_grid(args.grid, "grid")
     word = parse_word(args.cell)
     start = patch.ball.resolve(word)
-    if start is None:
-        raise SchemaError("cell", f"{format_word(word)!r} is outside the ball")
+    need(start is not None, "cell", f"{format_word(word)!r} is outside the ball")
     trace = orbit_trace(patch, start, args.max_steps)
     payload = {
         "cell": format_word(patch.ball.elements[start]),
@@ -376,9 +365,7 @@ def _cmd_grid_seed(args):
     balls: dict = {}
     patch1 = _load_grid(args.grid1, "grid1", balls)
     patch2 = _load_grid(args.grid2, "grid2", balls)
-    planar = patch_from_descriptor(
-        _unwrap(_load_json(args.config), "patch"), "config"
-    )
+    planar = patch_from_descriptor(_load_json(args.config, "patch"), "config")
     sft = None
     if args.sft:
         sft = sft_from_descriptor(_load_json(args.sft))
@@ -398,9 +385,7 @@ def _cmd_grid_seed(args):
 
 def _cmd_final_check(args):
     ctx, _ = _load_context(args.ctx)
-    patch = final_patch_from_descriptor(
-        _unwrap(_load_json(args.patch), "patch")
-    )
+    patch = final_patch_from_descriptor(_load_json(args.patch, "patch"))
     f1 = check_F1(patch, ctx, args.budget)
     results = (
         ("F1", f1),
@@ -422,8 +407,7 @@ def _cmd_final_witness(args):
     shell = cayley_ball(oracle, args.radius + 1)
     prefixes = {}
     for index, bits, where in cells_from_words(shell, _load_json(args.prefixes), "prefixes"):
-        if not isinstance(bits, str):
-            raise SchemaError(where, "expected a bit string")
+        need(isinstance(bits, str), where, "expected a bit string")
         prefixes[shell.elements[index]] = bits
     balls: dict = {}
     patch1 = _load_grid(args.grid1, "grid1", balls)
@@ -439,9 +423,7 @@ def _cmd_final_witness(args):
 
 def _cmd_final_phi(args):
     ctx, _ = _load_context(args.ctx)
-    patch = final_patch_from_descriptor(
-        _unwrap(_load_json(args.patch), "patch")
-    )
+    patch = final_patch_from_descriptor(_load_json(args.patch, "patch"))
     at = parse_word(args.at)
     try:
         prefix = factor_phi(patch, ctx, args.depth, at=at)
@@ -452,9 +434,7 @@ def _cmd_final_phi(args):
 
 def _cmd_final_project(args):
     ctx, codec = _load_context(args.ctx)
-    patch = final_patch_from_descriptor(
-        _unwrap(_load_json(args.patch), "patch")
-    )
+    patch = final_patch_from_descriptor(_load_json(args.patch, "patch"))
     projection = hat_phi_project(patch, ctx, codec)
     symbols = {key: None if sym is UNDETERMINED else sym for key, sym in projection.items()}
     undetermined = sum(sym is None for sym in symbols.values())
@@ -467,8 +447,7 @@ def _cmd_final_project(args):
     if args.pattern:
         pairs = []
         for g, sym, where in cells_from_words(patch.g_ball, _load_json(args.pattern), "pattern"):
-            if not isinstance(sym, str):
-                raise SchemaError(where, "expected a symbol")
+            need(isinstance(sym, str), where, "expected a symbol")
             pairs.append((patch.g_ball.elements[g], sym))
         pattern = Pattern.from_pairs(pairs)
         matches = projective_check(patch, projection, pattern)
@@ -494,9 +473,7 @@ def _cmd_aperiodic_color(args):
 
 
 def _cmd_aperiodic_verify(args):
-    colored = colored_ball_from_descriptor(
-        _unwrap(_load_json(args.coloring), "coloring")
-    )
+    colored = colored_ball_from_descriptor(_load_json(args.coloring, "coloring"))
     try:
         offending = square_free_verify(colored, args.maxlen, args.budget)
     except ResourceLimit as exc:
@@ -515,9 +492,7 @@ def _cmd_aperiodic_verify(args):
 
 def _cmd_aperiodic_probe(args):
     factors = [
-        colored_ball_from_descriptor(
-            _unwrap(_load_json(path), "coloring"), f"coloring[{i}]"
-        )
+        colored_ball_from_descriptor(_load_json(path, "coloring"), f"coloring[{i}]")
         for i, path in enumerate(args.coloring)
     ]
     try:

@@ -33,6 +33,9 @@ from .errors import (
     Record,
     SchemaError,
     UnknownSymbol,
+    fields,
+    need,
+    read_list,
 )
 from .groups import (
     CayleyBall,
@@ -436,39 +439,29 @@ class SubshiftSpec(Record):
 
 def subshift_from_descriptor(obj, path: str = "subshift") -> SubshiftSpec:
     """Parse {"group":…, "alphabet":[…], "forbidden":[[[word,symbol],…],…]}."""
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    if "group" not in obj:
-        raise SchemaError(f"{path}.group", "missing")
-    group = group_from_descriptor(obj["group"], f"{path}.group")
-    symbols = obj.get("alphabet")
-    if not isinstance(symbols, list) or not symbols:
-        raise SchemaError(f"{path}.alphabet", "expected a non-empty list")
+    group = group_from_descriptor(fields(obj, path, "group")[0], f"{path}.group")
+    symbols = read_list(obj.get("alphabet"), f"{path}.alphabet", "expected a non-empty list")
     for i, sym in enumerate(symbols):
-        if not isinstance(sym, str):
-            raise SchemaError(f"{path}.alphabet[{i}]", "expected a string")
-    if len(set(symbols)) != len(symbols):
-        raise SchemaError(f"{path}.alphabet", "symbols must be distinct")
+        need(isinstance(sym, str), f"{path}.alphabet[{i}]", "expected a string")
+    need(len(set(symbols)) == len(symbols), f"{path}.alphabet", "symbols must be distinct")
     alphabet = Alphabet(tuple(symbols))
     forbidden = []
-    raw = obj.get("forbidden", [])
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}.forbidden", "expected a list")
+    raw = read_list(obj.get("forbidden", []), f"{path}.forbidden", "expected a list", empty=True)
     for i, entry in enumerate(raw):
         where = f"{path}.forbidden[{i}]"
-        if not isinstance(entry, list) or not entry:
-            raise SchemaError(where, "expected a non-empty list of [word, symbol] pairs")
+        read_list(entry, where, "expected a non-empty list of [word, symbol] pairs")
         pairs = []
         for j, pair in enumerate(entry):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError(f"{where}[{j}]", "expected a [word, symbol] pair")
+            at = f"{where}[{j}]"
+            need(isinstance(pair, list) and len(pair) == 2, at, "expected a [word, symbol] pair")
+            need(all(isinstance(x, str) for x in pair), at, "word and symbol must be strings")
             text, sym = pair
-            if not isinstance(text, str) or not isinstance(sym, str):
-                raise SchemaError(f"{where}[{j}]", "word and symbol must be strings")
-            if sym not in alphabet:
-                raise SchemaError(f"{where}[{j}]", f"symbol {sym!r} is not in the alphabet")
+            need(sym in alphabet, at, f"symbol {sym!r} is not in the alphabet")
             word = parse_word(text)
-            group.gens.check_word(word)
+            try:
+                group.gens.check_word(word)
+            except UnknownSymbol as exc:
+                raise SchemaError(at, f"unknown generator {str(exc)!r}") from None
             pairs.append((word, sym))
         forbidden.append(coding_from_pairs(pairs))
     return SubshiftSpec(group, alphabet, tuple(forbidden))

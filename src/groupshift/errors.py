@@ -1,4 +1,6 @@
-"""Shared exception types, and the base classes of the library's records."""
+"""Shared exception types, the base classes of the library's records, and
+the typed readers of JSON descriptor fields: each returns the value it reads
+or raises the one `SchemaError` for its fault at the field's path."""
 
 
 class Record:
@@ -50,6 +52,39 @@ class SchemaError(GroupshiftError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}")
+
+
+def need(ok, path: str, text: str) -> None:
+    """Raise SchemaError(path, text) unless `ok`."""
+    if not ok:
+        raise SchemaError(path, text)
+
+
+def read_object(value, path: str) -> dict:
+    need(isinstance(value, dict), path, "expected an object")
+    return value
+
+
+def fields(obj, path: str, *keys: str) -> tuple:
+    """The values at `keys` of a descriptor object; each must be present."""
+    read_object(obj, path)
+    for key in keys:
+        need(key in obj, f"{path}.{key}", "missing")
+    return tuple(obj[key] for key in keys)
+
+
+def read_list(value, path: str, text: str, empty: bool = False) -> list:
+    """A list, non-empty unless `empty`."""
+    need(isinstance(value, list) and (empty or value), path, text)
+    return value
+
+
+def read_int(value, path: str, low=None, text=None) -> int:
+    """An integer (a JSON boolean is not one) of at least `low`, if given."""
+    if type(value) is not int or (low is not None and value < low):
+        bound = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+        raise SchemaError(path, text or f"expected {bound[low]}")
+    return value
 
 
 class ResourceLimit(GroupshiftError):

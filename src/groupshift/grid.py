@@ -23,6 +23,7 @@ from .errors import (
     SchemaError,
     UnknownSymbol,
     Value,
+    need,
 )
 from .groups import (
     CayleyBall,
@@ -611,10 +612,8 @@ def grid_patch_from_descriptor(obj, path: str = "grid", balls=None) -> GridPatch
     ball = ball_from_descriptor(obj, path, "labels", balls=balls)
     labels = {}
     for idx, pair, where in cells_from_words(ball, obj["labels"], f"{path}.labels"):
-        if not (
-            isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
-        ):
-            raise SchemaError(where, "expected [left, right] symbols")
+        ok = isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
+        need(ok, where, "expected [left, right] symbols")
         labels[idx] = GridLabel(pair[0], pair[1])
     return GridPatch(ball, labels)
 

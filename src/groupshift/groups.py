@@ -16,7 +16,17 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import ResourceLimit, SchemaError, UnknownSymbol, Value
+from .errors import (
+    ResourceLimit,
+    SchemaError,
+    UnknownSymbol,
+    Value,
+    fields,
+    need,
+    read_int,
+    read_list,
+    read_object,
+)
 
 Word = tuple[str, ...]
 
@@ -176,9 +186,9 @@ class MealyAutomaton(Value):
             oq = self.output.get(q)
             if tq is None or set(tq) != {"0", "1"}:
                 raise ValueError(f"transition row missing for state {q!r}")
-            if oq is None or set(oq) != {"0", "1"}:
+            if not isinstance(oq, dict) or set(oq) != {"0", "1"}:
                 raise ValueError(f"output row missing for state {q!r}")
-            if set(oq.values()) != {"0", "1"}:
+            if (oq["0"], oq["1"]) not in (("0", "1"), ("1", "0")):
                 raise ValueError(f"state {q!r} does not permute the alphabet")
             for b in "01":
                 if tq[b] not in self.states:
@@ -648,69 +658,67 @@ def smallest_ball(oracle: GroupOracle, size: int, max_radius: int) -> CayleyBall
 
 def group_from_descriptor(obj, path: str = "group") -> GroupOracle:
     """Build an oracle from a JSON-style descriptor dictionary."""
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    kind = obj.get("kind")
-    if kind == "free_abelian" or kind == "free":
-        rank = obj.get("rank")
-        if type(rank) is not int or rank < 1:
-            raise SchemaError(f"{path}.rank", "expected a positive integer")
-        return FreeAbelianOracle(rank) if kind == "free_abelian" else FreeGroupOracle(rank)
-    if kind == "grigorchuk":
-        return GrigorchukOracle()
-    if kind == "mealy":
-        for key in ("states", "transition", "output", "generators"):
-            if key not in obj:
-                raise SchemaError(f"{path}.{key}", "missing field")
-        if not isinstance(obj["states"], list) or not all(
-            isinstance(q, str) for q in obj["states"]
-        ):
-            raise SchemaError(f"{path}.states", "expected a list of state names")
-        try:
-            automaton = MealyAutomaton(
-                tuple(obj["states"]), obj["transition"], obj["output"]
-            )
-        except (ValueError, TypeError, KeyError) as exc:
-            raise SchemaError(f"{path}.transition", str(exc)) from exc
-        generators = obj["generators"]
-        gen_words: dict[str, tuple[str, ...]] = {}
-        if isinstance(generators, dict) and generators:
-            items = generators.items()
-        elif isinstance(generators, list) and generators:
-            # List form: each entry is a state word (or a single state name);
-            # the generator is named by joining its states.
-            items = []
-            for entry in generators:
-                word = [entry] if isinstance(entry, str) else entry
-                items.append(("".join(map(str, word)), word))
-        else:
-            raise SchemaError(f"{path}.generators", "expected a non-empty list or object")
-        for name, word in items:
-            if not isinstance(word, list) or not all(isinstance(q, str) for q in word):
-                raise SchemaError(
-                    f"{path}.generators.{name}", "expected a list of states"
-                )
-            if name in gen_words:
-                raise SchemaError(f"{path}.generators.{name}", "duplicate generator name")
-            gen_words[name] = tuple(word)
-        inverses = obj.get("inverses")
-        if inverses is not None and not isinstance(inverses, dict):
-            raise SchemaError(f"{path}.inverses", "expected an object")
-        try:
-            return MealyGroupOracle(automaton, gen_words, inverses, dict(obj))
-        except ValueError as exc:
-            raise SchemaError(path, str(exc)) from exc
-    if kind == "product":
-        factors = obj.get("factors")
-        if not isinstance(factors, list) or not factors:
-            raise SchemaError(f"{path}.factors", "expected a non-empty list")
+    read_object(obj, path)
+
+    def product():
+        factors = read_list(obj.get("factors"), f"{path}.factors", "expected a non-empty list")
         return ProductOracle(
-            [
-                group_from_descriptor(f, f"{path}.factors[{i}]")
-                for i, f in enumerate(factors)
-            ]
+            [group_from_descriptor(f, f"{path}.factors[{i}]") for i, f in enumerate(factors)]
         )
-    raise SchemaError(f"{path}.kind", f"unknown group kind {kind!r}")
+
+    builders = {
+        "free_abelian": lambda: FreeAbelianOracle(read_int(obj.get("rank"), f"{path}.rank", 1)),
+        "free": lambda: FreeGroupOracle(read_int(obj.get("rank"), f"{path}.rank", 1)),
+        "grigorchuk": GrigorchukOracle,
+        "mealy": lambda: _mealy_from_descriptor(obj, path),
+        "product": product,
+    }
+    kind = obj.get("kind")
+    build = builders.get(kind) if isinstance(kind, str) else None
+    need(build, f"{path}.kind", f"unknown group kind {kind!r}")
+    return build()
+
+
+def _mealy_from_descriptor(obj: dict, path: str) -> MealyGroupOracle:
+    states, transition, output, generators = fields(
+        obj, path, "states", "transition", "output", "generators"
+    )
+    ok = isinstance(states, list) and all(isinstance(q, str) for q in states)
+    need(ok, f"{path}.states", "expected a list of state names")
+    rows = read_object(transition, f"{path}.transition"), read_object(output, f"{path}.output")
+    try:
+        automaton = MealyAutomaton(tuple(states), *rows)
+    except (ValueError, TypeError, KeyError) as exc:
+        # Two of the automaton's texts are about an output row.
+        text = str(exc)
+        of_output = text.startswith("output row") or text.endswith("permute the alphabet")
+        raise SchemaError(f"{path}.{'output' if of_output else 'transition'}", text) from exc
+    if isinstance(generators, dict) and generators:
+        items = generators.items()
+    else:
+        # List form: each entry is a state word (or a single state name);
+        # the generator is named by joining its states.
+        read_list(generators, f"{path}.generators", "expected a non-empty list or object")
+        items = []
+        for i, entry in enumerate(generators):
+            word = [entry] if isinstance(entry, str) else entry
+            need(isinstance(word, list), f"{path}.generators[{i}]", "expected a list of states")
+            items.append(("".join(map(str, word)), word))
+    gen_words: dict[str, tuple[str, ...]] = {}
+    for name, word in items:
+        where = f"{path}.generators.{name}"
+        ok = isinstance(word, list) and all(isinstance(q, str) for q in word)
+        need(ok, where, "expected a list of states")
+        need(name not in gen_words, where, "duplicate generator name")
+        gen_words[name] = tuple(word)
+    inverses = obj.get("inverses")
+    if inverses is not None:
+        for name, inv in read_object(inverses, f"{path}.inverses").items():
+            need(isinstance(inv, str), f"{path}.inverses.{name}", "expected a generator name")
+    try:
+        return MealyGroupOracle(automaton, gen_words, inverses, dict(obj))
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 # Ball-keyed descriptors: an object {"group": …, "radius": n, …} names a
@@ -719,21 +727,15 @@ def group_from_descriptor(obj, path: str = "group") -> GroupOracle:
 # cell's canonical word, and two keys naming one cell are an error.
 
 
-def ball_from_descriptor(obj, path: str, *fields, balls: Optional[dict] = None) -> CayleyBall:
-    """The ball of a descriptor object that must also carry `fields`.
+def ball_from_descriptor(obj, path: str, *keys, balls: Optional[dict] = None) -> CayleyBall:
+    """The ball of a descriptor object that must also carry `keys`.
 
     A reader of many descriptors may pass one `balls` dict for the whole
     read; descriptors naming the same group and radius then share a ball.
     """
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    for key in ("group", "radius", *fields):
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing")
-    oracle = group_from_descriptor(obj["group"], f"{path}.group")
-    radius = obj["radius"]
-    if type(radius) is not int or radius < 0:
-        raise SchemaError(f"{path}.radius", "expected a non-negative integer")
+    group, radius = fields(obj, path, "group", "radius", *keys)[:2]
+    oracle = group_from_descriptor(group, f"{path}.group")
+    radius = read_int(radius, f"{path}.radius", 0)
     if balls is None:
         balls = {}
     name = (repr(oracle.descriptor), radius)
@@ -749,16 +751,15 @@ def ball_to_descriptor(ball: CayleyBall) -> dict:
 def cells_from_words(ball: CayleyBall, raw, path: str):
     """Yield (cell index, value, field path) for each entry of a word-keyed
     map; the field path quotes the key as written."""
-    if not isinstance(raw, dict):
-        raise SchemaError(path, "expected an object")
     named: dict[int, str] = {}
-    for text, value in raw.items():
+    for text, value in read_object(raw, path).items():
         where = f"{path}[{text!r}]"
-        idx = ball.resolve(parse_word(text))
-        if idx is None:
-            raise SchemaError(where, "names a cell outside the ball")
-        if idx in named:
-            raise SchemaError(where, f"names the same cell as {named[idx]!r}")
+        try:
+            idx = ball.resolve(parse_word(text))
+        except UnknownSymbol as exc:
+            raise SchemaError(where, f"unknown generator {str(exc)!r}") from None
+        need(idx is not None, where, "names a cell outside the ball")
+        need(idx not in named, where, f"names the same cell as {named.get(idx)!r}")
         named[idx] = text
         yield idx, value, where
 

@@ -22,6 +22,11 @@ from .errors import (
     ResourceLimit,
     SchemaError,
     Value,
+    fields,
+    need,
+    read_int,
+    read_list,
+    read_object,
 )
 from .groups import Word
 
@@ -114,33 +119,25 @@ def full_shift(symbols) -> NNSFT2D:
 
 
 def sft_from_descriptor(obj, path: str = "sft") -> NNSFT2D:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    for key in ("alphabet", "allowed_h", "allowed_v"):
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing field")
-    symbols = obj["alphabet"]
-    if not isinstance(symbols, list) or not symbols:
-        raise SchemaError(f"{path}.alphabet", "expected a non-empty list")
+    symbols, allowed_h, allowed_v = fields(obj, path, "alphabet", "allowed_h", "allowed_v")
+    read_list(symbols, f"{path}.alphabet", "expected a non-empty list")
+    for i, sym in enumerate(symbols):
+        need(not isinstance(sym, (list, dict)), f"{path}.alphabet[{i}]", "expected a symbol")
     try:
         alphabet = Alphabet(tuple(symbols))
     except ValueError as exc:
         raise SchemaError(f"{path}.alphabet", str(exc)) from exc
 
-    def pair_set(key):
-        raw = obj[key]
-        if not isinstance(raw, list):
-            raise SchemaError(f"{path}.{key}", "expected a list of pairs")
-        pairs = set()
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise SchemaError(f"{path}.{key}[{i}]", "expected a 2-element list")
-            if entry[0] not in alphabet or entry[1] not in alphabet:
-                raise SchemaError(f"{path}.{key}[{i}]", "symbol outside the alphabet")
+    def pair_set(raw, key):
+        pairs, where = set(), f"{path}.{key}"
+        for i, entry in enumerate(read_list(raw, where, "expected a list of pairs", empty=True)):
+            at = f"{where}[{i}]"
+            need(isinstance(entry, list) and len(entry) == 2, at, "expected a 2-element list")
+            need(entry[0] in alphabet and entry[1] in alphabet, at, "symbol outside the alphabet")
             pairs.add((entry[0], entry[1]))
         return frozenset(pairs)
 
-    return NNSFT2D(alphabet, pair_set("allowed_h"), pair_set("allowed_v"))
+    return NNSFT2D(alphabet, pair_set(allowed_h, "allowed_h"), pair_set(allowed_v, "allowed_v"))
 
 
 class Patch2D(Value):
@@ -186,25 +183,19 @@ class Patch2D(Value):
 
 
 def patch_from_descriptor(obj, path: str = "patch") -> Patch2D:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    origin = obj.get("origin", [0, 0])
-    if not (
-        isinstance(origin, list) and len(origin) == 2 and all(type(v) is int for v in origin)
-    ):
-        raise SchemaError(f"{path}.origin", "expected [x, y] integers")
-    rows = obj.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError(f"{path}.rows", "expected a non-empty list of rows")
-    width = len(rows[0])
+    origin = read_object(obj, path).get("origin", [0, 0])
+    where, text = f"{path}.origin", "expected [x, y] integers"
+    need(isinstance(origin, list) and len(origin) == 2, where, text)
+    x0, y0 = (read_int(v, where, text=text) for v in origin)
+    rows = read_list(obj.get("rows"), f"{path}.rows", "expected a non-empty list of rows")
+    width = len(rows[0]) if isinstance(rows[0], list) else None
     cells = {}
     for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != width:
-            raise SchemaError(f"{path}.rows[{r}]", "ragged row")
+        need(isinstance(row, list) and len(row) == width, f"{path}.rows[{r}]", "ragged row")
         for c, value in enumerate(row):
             if value is not None:
-                cells[(origin[0] + c, origin[1] + r)] = value
-    return Patch2D(origin[0], origin[1], width, len(rows), cells)
+                cells[(x0 + c, y0 + r)] = value
+    return Patch2D(x0, y0, width, len(rows), cells)
 
 
 def patch_to_descriptor(patch: Patch2D) -> dict:

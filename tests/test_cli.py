@@ -1021,6 +1021,242 @@ def test_json_booleans_are_not_integers(field, value, tmp_path, capsys):
     assert err.startswith(f"error: {where}: expected"), err
 
 
+# Every integer, string, list and object field of every descriptor kind, fed
+# each JSON value of another type, exits 2 with the field's path, and so
+# does every required field of a descriptor object left out.  The path
+# is the one the reader reports: a state, word or symbol inside a list is
+# reported at the list's path, as are the rows and entries of a Mealy
+# automaton's transition and output tables.
+
+WRONG_VALUES = {"true": True, "1.5": 1.5, '"1"': "1", "null": None, "[]": [], "{}": {}}
+
+# field type: the values of WRONG_VALUES the field accepts, or that are of its
+# own type and so wrong for some other reason
+ACCEPTED = {
+    "int": (),
+    "str": ('"1"',),
+    "list": ("[]",),
+    "object": ("{}",),
+    "list or object": (),
+    "optional object": ("null", "{}"),
+    "state or list": ('"1"', "[]"),
+    "symbol": ("true", "1.5", '"1"', "null"),
+}
+
+MEALY = {**SWAP_GROUP, "inverses": {"t": "t"}}
+
+# kind: (argv before the document, with {name} standing for a fixture file;
+#        the document's flag; valid document)
+DOCUMENT_KINDS = {
+    "free_abelian": (["ball", "--radius", "1"], "--group", lambda files: dict(Z)),
+    "free": (["ball", "--radius", "1"], "--group", lambda files: {"kind": "free", "rank": 2}),
+    "grigorchuk": (["ball", "--radius", "1"], "--group", lambda files: {"kind": "grigorchuk"}),
+    "mealy": (["ball", "--radius", "1"], "--group", lambda files: json.loads(json.dumps(MEALY))),
+    "mealy list": (["ball", "--radius", "1"], "--group",
+                   lambda files: {**SWAP_GROUP, "generators": ["q"]}),
+    "product": (["ball", "--radius", "1"], "--group",
+                lambda files: {"kind": "product", "factors": [dict(Z), {"kind": "grigorchuk"}]}),
+    "subshift": (["oracle", "query", "--word", "0", "--budget", "10"], "--subshift",
+                 lambda files: json.loads(json.dumps(GOLDEN_SUBSHIFT))),
+    "ctx": (["final", "check", "--patch", "{witness}"], "--ctx",
+            lambda files: {"subshift": GOLDEN_SUBSHIFT, "radius": 4}),
+    "sft": (["nn", "check", "--patch", "{patch}"], "--sft",
+            lambda files: json.loads(json.dumps(GOLDEN_SFT))),
+    "patch": (["nn", "check", "--sft", "{sft}"], "--patch",
+              lambda files: {"origin": [0, 0], "rows": [["1", "0"]]}),
+    "grid": (["grid", "check"], "--grid", lambda files: line_grid_descriptor(2)),
+    "final": (["final", "check", "--ctx", "{ctx}"], "--patch", _final_doc),
+    "coloring": (["aperiodic", "verify", "--maxlen", "2"], "--coloring", _coloring_doc),
+    "prefixes": (["final", "witness", "--ctx", "{ctx}", "--group", "{z}", "--radius", "1",
+                  "--grid1", "{line10}", "--grid2", "{line2}"], "--prefixes",
+                 lambda files: parity_prefixes()),
+    "pattern": (["final", "project", "--ctx", "{ctx}", "--patch", "{witness}"], "--pattern",
+                lambda files: {"": "0", "x": "1", "x-": "1"}),
+    "layers": (["toeplitz", "decode"], "--file", lambda files: {"x": SPREAD_010}),
+}
+
+# (kind, key path from the document to the field, field type, path in the
+#  error); a "required" field left out is reported as missing
+TYPED_FIELDS = [
+    ("free_abelian", (), "object", "group"),
+    ("free_abelian", ("kind",), "str", "group.kind"),
+    ("free_abelian", ("rank",), "int", "group.rank"),
+    ("free", ("rank",), "int", "group.rank"),
+    ("grigorchuk", ("kind",), "str", "group.kind"),
+    ("mealy", ("states",), "required list", "group.states"),
+    ("mealy", ("states", 0), "str", "group.states"),
+    ("mealy", ("transition",), "required object", "group.transition"),
+    ("mealy", ("transition", "q"), "object", "group.transition"),
+    ("mealy", ("transition", "q", "0"), "str", "group.transition"),
+    ("mealy", ("output",), "required object", "group.output"),
+    ("mealy", ("output", "q"), "object", "group.output"),
+    ("mealy", ("output", "q", "0"), "str", "group.output"),
+    ("mealy", ("generators",), "required list or object", "group.generators"),
+    ("mealy", ("generators", "t"), "list", "group.generators.t"),
+    ("mealy", ("generators", "t", 0), "str", "group.generators.t"),
+    ("mealy", ("inverses",), "optional object", "group.inverses"),
+    ("mealy", ("inverses", "t"), "str", "group.inverses.t"),
+    ("mealy list", ("generators", 0), "state or list", "group.generators[0]"),
+    ("product", ("factors",), "list", "group.factors"),
+    ("product", ("factors", 0), "object", "group.factors[0]"),
+    ("subshift", (), "object", "subshift"),
+    ("subshift", ("group",), "required object", "subshift.group"),
+    ("subshift", ("alphabet",), "list", "subshift.alphabet"),
+    ("subshift", ("alphabet", 0), "str", "subshift.alphabet[0]"),
+    ("subshift", ("forbidden",), "list", "subshift.forbidden"),
+    ("subshift", ("forbidden", 0), "list", "subshift.forbidden[0]"),
+    ("subshift", ("forbidden", 0, 0), "list", "subshift.forbidden[0][0]"),
+    ("subshift", ("forbidden", 0, 0, 0), "str", "subshift.forbidden[0][0]"),
+    ("subshift", ("forbidden", 0, 0, 1), "str", "subshift.forbidden[0][0]"),
+    ("ctx", (), "object", "ctx"),
+    ("ctx", ("subshift",), "required object", "ctx.subshift"),
+    ("ctx", ("radius",), "required int", "ctx.radius"),
+    ("sft", (), "object", "sft"),
+    ("sft", ("alphabet",), "required list", "sft.alphabet"),
+    ("sft", ("alphabet", 0), "symbol", "sft.alphabet[0]"),
+    ("sft", ("allowed_h",), "required list", "sft.allowed_h"),
+    ("sft", ("allowed_h", 0), "list", "sft.allowed_h[0]"),
+    ("sft", ("allowed_h", 0, 0), "str", "sft.allowed_h[0]"),
+    ("sft", ("allowed_v",), "required list", "sft.allowed_v"),
+    ("sft", ("allowed_v", 0), "list", "sft.allowed_v[0]"),
+    ("sft", ("allowed_v", 0, 1), "str", "sft.allowed_v[0]"),
+    ("patch", (), "object", "patch"),
+    ("patch", ("origin",), "list", "patch.origin"),
+    ("patch", ("origin", 0), "int", "patch.origin"),
+    ("patch", ("rows",), "list", "patch.rows"),
+    ("patch", ("rows", 0), "list", "patch.rows[0]"),
+    ("grid", (), "object", "grid"),
+    ("grid", ("group",), "required object", "grid.group"),
+    ("grid", ("radius",), "required int", "grid.radius"),
+    ("grid", ("labels",), "required object", "grid.labels"),
+    ("grid", ("labels", ""), "list", "grid.labels['']"),
+    ("grid", ("labels", "", 0), "str", "grid.labels['']"),
+    ("final", (), "object", "final"),
+    ("final", ("group",), "required object", "final.group"),
+    ("final", ("radius",), "required int", "final.radius"),
+    ("final", ("omega",), "required object", "final.omega"),
+    ("final", ("omega", ""), "list", "final.omega['']"),
+    ("final", ("omega", "", 0), "object", "final.omega[''][0]"),
+    ("final", ("y",), "required object", "final.y"),
+    ("final", ("y", ""), "object", "final.y['']"),
+    ("final", ("y", "", "x"), "object", "final.y['']['x']"),
+    ("final", ("y", "", "x", ""), "str", "final.y['']['x']['']"),
+    ("coloring", (), "object", "coloring"),
+    ("coloring", ("group",), "required object", "coloring.group"),
+    ("coloring", ("radius",), "required int", "coloring.radius"),
+    ("coloring", ("k",), "required int", "coloring.k"),
+    ("coloring", ("colors",), "required object", "coloring.colors"),
+    ("coloring", ("colors", "x"), "int", "coloring.colors['x']"),
+    ("prefixes", (), "object", "prefixes"),
+    ("prefixes", ("x",), "str", "prefixes['x']"),
+    ("pattern", (), "object", "pattern"),
+    ("pattern", ("",), "str", "pattern['']"),
+    ("layers", (), "object", "file"),
+    ("layers", ("x",), "str", "file['x']"),
+]
+
+WRONG_TYPE_CASES = [
+    pytest.param(
+        kind, keys, sample, where, id=kind + "".join(f"[{key!r}]" for key in keys) + f"={sample}"
+    )
+    for kind, keys, field_type, where in TYPED_FIELDS
+    for sample in [*WRONG_VALUES, "missing"]
+    if sample not in ACCEPTED[field_type.removeprefix("required ")]
+    and (sample != "missing" or field_type.startswith("required "))
+]
+
+
+@pytest.fixture(scope="module")
+def fixture_files(final_files, tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("typed")
+    ctx, witness = final_files
+    return {
+        "ctx": ctx,
+        "witness": witness,
+        "z": write(tmp_path, "z.json", Z),
+        "sft": write(tmp_path, "sft.json", GOLDEN_SFT),
+        "patch": write(tmp_path, "patch.json", {"origin": [0, 0], "rows": [["1", "0"]]}),
+        "line10": write(tmp_path, "line10.json", line_grid_descriptor(10)),
+        "line2": write(tmp_path, "line2.json", line_grid_descriptor(2)),
+    }
+
+
+@pytest.mark.parametrize("kind, keys, sample, where", WRONG_TYPE_CASES)
+def test_a_missing_or_wrongly_typed_field_exits_two_with_its_path(
+    kind, keys, sample, where, final_files, fixture_files, tmp_path, capsys
+):
+    argv, flag, make = DOCUMENT_KINDS[kind]
+    doc = make(final_files)
+    if keys:
+        inner = doc
+        for key in keys[:-1]:
+            inner = inner[key]
+        if sample == "missing":
+            del inner[keys[-1]]
+        else:
+            inner[keys[-1]] = WRONG_VALUES[sample]
+    else:
+        doc = WRONG_VALUES[sample]
+    argv = [arg.format(**fixture_files) for arg in argv]
+    code, out, err = run_cli(capsys, [*argv, flag, write(tmp_path, "doc.json", doc)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}: "), err
+    if sample == "missing":
+        assert err == f"error: {where}: missing\n"
+
+
+def _edited(doc, **fields):
+    return lambda files: {**json.loads(json.dumps(doc)), **fields}
+
+
+# name: (kind whose argv and flag read the document, document, whole stderr)
+NAMED_FAULTS = {
+    # Each of these escaped `main` as a Python exception before the
+    # descriptor readers were shared.
+    "transition list": ("mealy", _edited(SWAP_GROUP, transition=[]),
+                        "group.transition: expected an object"),
+    "output string": ("mealy", _edited(SWAP_GROUP, output="01"),
+                      "group.output: expected an object"),
+    "generator entry 5": ("mealy", _edited(SWAP_GROUP, generators=[5]),
+                          "group.generators[0]: expected a list of states"),
+    "inverse list": ("mealy", _edited(SWAP_GROUP, inverses={"t": ["t"]}),
+                     "group.inverses.t: expected a generator name"),
+    "sft symbol list": ("sft", _edited(GOLDEN_SFT, alphabet=[["0"], "1"]),
+                        "sft.alphabet[0]: expected a symbol"),
+    "patch row 5": ("patch", lambda files: {"rows": [5]}, "patch.rows[0]: ragged row"),
+    # A kind is looked up only when it is a string.
+    "kind list": ("free_abelian", lambda files: {"kind": ["free"]},
+                  "group.kind: unknown group kind ['free']"),
+    # A Mealy output row's faults are the output's, not the transition's.
+    "output row missing": ("mealy", _edited(SWAP_GROUP, output={}),
+                           "group.output: output row missing for state 'q'"),
+    "output not a permutation": ("mealy",
+                                 _edited(SWAP_GROUP, output={"q": {"0": "1", "1": "1"}}),
+                                 "group.output: state 'q' does not permute the alphabet"),
+    "transition leaves the states": ("mealy",
+                                     _edited(SWAP_GROUP, transition={"q": {"0": "q", "1": "r"}}),
+                                     "group.transition: transition of 'q' leaves the state set"),
+    # A generator the group lacks, and a colour out of range, are named at
+    # the file's field.
+    "unknown cell generator": ("grid", _edited(line_grid_descriptor(1), labels={"q": ["x", "x-"]}),
+                               "grid.labels['q']: unknown generator 'q'"),
+    "unknown subshift generator": ("subshift",
+                                   _edited(GOLDEN_SUBSHIFT, forbidden=[[["x q", "1"]]]),
+                                   "subshift.forbidden[0][0]: unknown generator 'q'"),
+    "colour out of range": ("coloring", _edited(_coloring_doc(None), k=2),
+                            "coloring.colors['x-']: expected an integer in [0, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_FAULTS)
+def test_malformed_descriptors_name_their_field(name, fixture_files, tmp_path, capsys):
+    kind, make, text = NAMED_FAULTS[name]
+    argv, flag, _ = DOCUMENT_KINDS[kind]
+    argv = [arg.format(**fixture_files) for arg in argv]
+    doc = write(tmp_path, "doc.json", make(None))
+    assert run_cli(capsys, [*argv, flag, doc]) == (2, "", f"error: {text}\n")
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

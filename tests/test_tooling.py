@@ -1,6 +1,7 @@
 """The benchmark's tracer finds every library function it wraps and sees
-every decode, its in-process workloads run against the library, and the
-CLI's imports stay free of modules that slow every process start."""
+every decode, its in-process workloads run against the library, the CLI's
+imports stay free of modules that slow every process start, and each
+decision has one owner in the source."""
 
 from __future__ import annotations
 
@@ -96,6 +97,57 @@ def test_only_grid_walks_the_labels():
         or (isinstance(node, ast.alias) and node.name == "_walk_line")
     ]
     assert walkers == []
+
+
+def test_descriptor_fields_are_read_through_the_errors_readers():
+    # `errors` holds the typed readers: `read_int` alone tells a JSON
+    # integer from a boolean, and `need` and the readers raise the schema
+    # errors.  A descriptor reader that tested `type(v) is int` itself, or
+    # raised a SchemaError of its own outside an `except` that re-words a
+    # library fault, would be a second owner of those reads.
+    scoped, found = [], []
+    for path in sorted((SRC / "groupshift").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef) or not (
+                func.name.endswith("_from_descriptor")
+                or func.name.startswith("_cmd_")
+                or func.name in ("cells_from_words", "_load_context")
+            ):
+                continue
+            scoped.append(func.name)
+            handled = {
+                id(node)
+                for handler in ast.walk(func)
+                if isinstance(handler, ast.ExceptHandler)
+                for node in ast.walk(handler)
+            }
+            for node in ast.walk(func):
+                where = f"{path.stem}.{func.name}:{getattr(node, 'lineno', 0)}"
+                if (
+                    isinstance(node, ast.Compare)
+                    and isinstance(node.left, ast.Call)
+                    and isinstance(node.left.func, ast.Name)
+                    and node.left.func.id == "type"
+                    and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                    and any(isinstance(c, ast.Name) and c.id == "int" for c in node.comparators)
+                ):
+                    found.append(f"{where} type test")
+                if (
+                    isinstance(node, ast.Raise)
+                    and id(node) not in handled
+                    and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)
+                    and node.exc.func.id == "SchemaError"
+                ):
+                    found.append(f"{where} raise")
+    readers = {
+        "group_from_descriptor", "ball_from_descriptor", "cells_from_words",
+        "sft_from_descriptor", "patch_from_descriptor", "subshift_from_descriptor",
+        "grid_patch_from_descriptor", "final_patch_from_descriptor",
+        "colored_ball_from_descriptor", "_load_context", "_cmd_toeplitz_decode",
+    }
+    assert readers <= set(scoped)
+    assert found == []
 
 
 def test_no_memo_outlives_a_call():
